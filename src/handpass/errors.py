@@ -73,3 +73,7 @@ class TooFewFrames(HandpassError):
 
 class WindowTooShort(HandpassError):
     """Authentication received fewer frames than the window requires."""
+
+
+class BadPolicy(HandpassError):
+    """A vote threshold or window length no decision can be made under."""

@@ -26,6 +26,7 @@ from .codec import CsiFrame, read_capture
 from .dataset import frame_to_features
 from .dsp import FittedScaler, SanitizerConfig, SubcarrierMask, apply_scaler, fit_scaler
 from .errors import (
+    BadPolicy,
     DegenerateLabels,
     HandpassError,
     TooFewFrames,
@@ -129,7 +130,16 @@ def authenticate(
     Frames that fail preprocessing (all-zero) are dropped; the modal
     prediction over the rest must reach the vote-share threshold and
     be enrolled with the required permission.
+
+    A threshold that is NaN, infinite or negative, or a window that is
+    not a finite positive length, raises BadPolicy: NaN compares false
+    against every share and would grant anything.  A finite threshold
+    above 1 is kept; no share reaches it, so it denies every window.
     """
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise BadPolicy(f"threshold {threshold!r} is not a finite number >= 0")
+    if not (math.isfinite(window_seconds) and window_seconds > 0.0):
+        raise BadPolicy(f"window_seconds {window_seconds!r} is not a finite number > 0")
     frames = list(frames)
     need = math.ceil(window_seconds * store.packets_per_second)
     if len(frames) < need:

@@ -13,8 +13,9 @@ import numpy as np
 
 from ..errors import DimensionMismatch
 
-# Split search walks features in chunks to bound the (rows x chunk x
-# classes) cumulative-count tensor.
+# Split search walks features in chunks to bound its (rows x chunk)
+# working arrays; the chunking also fixes which of several equal-impurity
+# splits wins (see _best_split).
 _FEATURE_CHUNK = 64
 
 
@@ -42,39 +43,57 @@ def resolve_max_features(spec, n_features: int) -> int:
 def _best_split(X, y_codes, idx, feats, n_classes):
     """Best (feature, threshold) over candidate features at one node.
 
-    Candidates are midpoints between consecutive distinct sorted values;
-    a midpoint that rounds onto the upper value is discarded since it
-    would not separate the pair.  Returns (children_impurity_sum,
-    feature, threshold) minimizing nl*gini_l + nr*gini_r, or None when
-    every candidate feature is constant on the node.
+    Candidates are midpoints between consecutive sorted values that lie
+    strictly below the upper value; that rules out equal neighbours and
+    a midpoint that rounds onto the upper value, neither of which would
+    separate the pair.  Returns (children_impurity_sum, feature,
+    threshold) minimizing nl*gini_l + nr*gini_r, or None when every
+    candidate feature is constant on the node.  Ties go to the
+    first minimum in row-major (threshold, feature) order within a
+    64-feature chunk, and to the earliest chunk across chunks.
     """
     n = idx.size
-    y_node = y_codes[idx]
-    class_range = np.arange(n_classes)
+    # small unsigned codes make the stable argsort below a radix sort
+    y_node = y_codes[idx].astype(np.min_scalar_type(n_classes - 1))
+    total = np.bincount(y_node, minlength=n_classes)
+    # rows of class c occupy [start[c], start[c] + total[c]) of a stable
+    # sort by class
+    start_y = (np.cumsum(total) - total)[y_node]
+    total_y = total[y_node]
+    sum_total_sq = int(np.dot(total, total))
+    rank = np.arange(n)[:, None]
+    all_cols = np.arange(min(feats.size, _FEATURE_CHUNK))
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    right_n = n - left_n
     best_w, best_f, best_t = np.inf, -1, 0.0
     for start in range(0, feats.size, _FEATURE_CHUNK):
         fc = feats[start : start + _FEATURE_CHUNK]
-        Xc = X[np.ix_(idx, fc)]
-        order = np.argsort(Xc, axis=0)
-        Xs = np.take_along_axis(Xc, order, axis=0)
+        cols = all_cols[: fc.size]
+        Xc = X[idx[:, None], fc]
+        order = Xc.argsort(axis=0)
+        Xs = Xc[order, cols]
         ys = y_node[order]
 
-        # cum[i, j, c] = count of class c among the i+1 smallest rows of
-        # feature j; from it both children's impurities fall out of the
-        # identity n*gini = n - sum(counts^2)/n.
-        onehot = ys[:, :, None] == class_range[None, None, :]
-        cum = np.cumsum(onehot, axis=0, dtype=np.float64)
-        total = cum[-1]
-        left_n = np.arange(1, n, dtype=np.float64)[:, None]
-        right_n = n - left_n
-        cum = cum[:-1]
-        ssl = np.einsum("imc,imc->im", cum, cum)
-        rcounts = total[None, :, :] - cum
-        ssr = np.einsum("imc,imc->im", rcounts, rcounts)
+        # occ[i, j] = rows of class ys[i, j] among the i smallest of
+        # feature j: a row's position in the stable class sort of its
+        # column, less its class's start offset.
+        by_class = ys.argsort(axis=0, kind="stable")
+        occ = np.empty_like(by_class)
+        occ[by_class, cols] = rank
+        occ -= start_y[order]
+        # With L_c / R_c the class counts left / right of each cut,
+        # n*gini = n - sum(counts^2)/n per child, and
+        #   sum L_c^2 grows by 2*occ + 1 per row moved left,
+        #   sum R_c^2 = sum total_c^2 - 2*sum total_c*L_c + sum L_c^2.
+        # Every term is an integer of at most n^2, exact in float64 for any
+        # node under 9e7 rows, so w (and with it every split) does not
+        # depend on how the sums are formed.
+        ssl = (2 * occ + 1).cumsum(axis=0)[:-1]
+        ssr = sum_total_sq + ssl - 2 * total_y[order].cumsum(axis=0)[:-1]
         w = (left_n - ssl / left_n) + (right_n - ssr / right_n)
 
         mids = 0.5 * (Xs[:-1] + Xs[1:])
-        valid = (Xs[1:] > Xs[:-1]) & (mids < Xs[1:])
+        valid = mids < Xs[1:]
         w = np.where(valid, w, np.inf)
         if w.size == 0:
             continue

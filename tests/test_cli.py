@@ -242,6 +242,19 @@ class TestEnrollAuth:
         assert "Deny" in out
         assert "below threshold" in out
 
+    def test_auth_nan_threshold_is_an_error(self, enroll_env, capsys, monkeypatch):
+        corpus, csv, store = enroll_env
+        monkeypatch.setenv("HANDPASS_STORE", store)
+        if not os.path.exists(store):
+            assert main(["enroll", "--data", csv, "--rate", "20",
+                         "--trees", "15", "--seed", "2"]) == 0
+            capsys.readouterr()
+        probe = os.path.join(corpus, "user_02", "Right", "capture_1.pcap")
+        code, out, err = run(capsys, "auth", "--capture", probe, "--threshold", "nan")
+        assert code == 1
+        assert "Grant" not in out
+        assert err.startswith("error: threshold nan")
+
     def test_enroll_on_short_slice_fails(self, clean_corpus, tmp_path, capsys):
         csv = str(tmp_path / "D1.csv")
         assert main(["dataset", "--in", clean_corpus, "--slice", "D1",

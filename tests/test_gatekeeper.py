@@ -11,7 +11,13 @@ import pytest
 from handpass import gatekeeper, synth
 from handpass.codec import CsiFrame, read_capture
 from handpass.dataset import CaptureMeta, build_rows
-from handpass.errors import DegenerateLabels, TooFewFrames, WindowTooShort, ZeroSignal
+from handpass.errors import (
+    BadPolicy,
+    DegenerateLabels,
+    TooFewFrames,
+    WindowTooShort,
+    ZeroSignal,
+)
 from handpass.gatekeeper import (
     AuditLog,
     AuthDecision,
@@ -289,6 +295,36 @@ class TestAuditLog:
         assert records[0]["vote_share"] == d.vote_share
 
 
+class TestPolicy:
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), -0.1])
+    def test_out_of_policy_threshold_rejected(self, auth_env, threshold):
+        store, probes, _ = auth_env
+        window = probes[1][:10] + probes[2][:10]  # denied at the default threshold
+        with pytest.raises(BadPolicy):
+            authenticate(store, window, threshold=threshold)
+
+    @pytest.mark.parametrize("window_seconds", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_out_of_policy_window_rejected(self, auth_env, window_seconds):
+        store, probes, _ = auth_env
+        with pytest.raises(BadPolicy):
+            authenticate(store, probes[2][:20], window_seconds=window_seconds)
+
+    def test_rejected_before_logging(self, auth_env, tmp_path):
+        store, probes, _ = auth_env
+        log = AuditLog(tmp_path / "audit.jsonl")
+        with pytest.raises(BadPolicy):
+            authenticate(store, probes[2][:20], threshold=float("nan"), log=log)
+        assert log.read() == ([], [])
+
+    def test_finite_thresholds_from_zero_up_accepted(self, auth_env):
+        store, probes, _ = auth_env
+        window = probes[1][:10] + probes[2][:10]
+        assert authenticate(store, window, threshold=0.0).decision == "Grant"
+        for threshold in (1.0, 1.1):  # above 1 no share can pass: fail closed
+            d = authenticate(store, window, threshold=threshold)
+            assert (d.decision, d.reason) == ("Deny", "below threshold")
+
+
 @contextlib.contextmanager
 def running(store, log=None):
     server = serve(store, port=0, log=log)
@@ -385,3 +421,25 @@ class TestServer:
         assert lenient["decision"]["decision"] == "Grant"
         records, _ = log.read()
         assert [r["decision"] for r in records] == ["Deny", "Grant"]
+
+    def test_out_of_policy_values_reported_in_band(self, auth_env):
+        store, probes, _ = auth_env
+        mixed = [f.csi.tolist() for f in probes[1][:10] + probes[2][:10]]
+        nan_line = json.dumps(
+            {"op": "authenticate", "frames": mixed, "threshold": float("nan")}
+        ).encode() + b"\n"
+        assert b'"threshold": NaN' in nan_line  # the bare JSON literal json.loads accepts
+        with running(store) as addr:
+            nan, negative, no_window, text, default = ask(
+                addr,
+                nan_line,
+                {"op": "authenticate", "frames": mixed, "threshold": -0.5},
+                {"op": "authenticate", "frames": mixed, "window_seconds": 0},
+                {"op": "authenticate", "frames": mixed, "threshold": "0.5"},
+                {"op": "authenticate", "frames": mixed},
+            )
+        for reply in (nan, negative, no_window):
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "bad-policy"
+        assert text["error"]["code"] == "bad-request"
+        assert default["decision"]["decision"] == "Deny"  # connection survived

@@ -1,6 +1,12 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
+from handpass import synth
+from handpass.codec import read_capture
+from handpass.dataset import CaptureMeta, build_rows, slice_dataset
 from handpass.errors import (
     DegenerateLabels,
     DimensionMismatch,
@@ -23,7 +29,7 @@ from handpass.learners import (
     train,
 )
 from handpass.learners.base import MODEL_CLASSES
-from handpass.learners.tree import gini, resolve_max_features
+from handpass.learners.tree import _best_split, gini, resolve_max_features
 from handpass.learners.validate import confusion_matrix, metrics_from_confusion
 
 ALL_KINDS = ("dt", "rf", "knn", "nb", "svm")
@@ -67,6 +73,43 @@ def brute_best_split(X, y):
             if best is None or q < best - 1e-12:
                 best = q
     return best
+
+
+def onehot_best_split(X, y_codes, idx, feats, n_classes):
+    """Reference split search over a one-hot (rows x features x classes)
+    cumulative class-count tensor, with the tree module's tie-break:
+    first row-major minimum within a chunk, earliest chunk across chunks.
+    """
+    n = idx.size
+    y_node = y_codes[idx]
+    best_w, best_f, best_t = np.inf, -1, 0.0
+    for start in range(0, feats.size, 64):
+        fc = feats[start : start + 64]
+        Xc = X[np.ix_(idx, fc)]
+        order = np.argsort(Xc, axis=0)
+        Xs = np.take_along_axis(Xc, order, axis=0)
+        ys = y_node[order]
+        onehot = ys[:, :, None] == np.arange(n_classes)[None, None, :]
+        cum = np.cumsum(onehot, axis=0, dtype=np.float64)
+        total = cum[-1]
+        left_n = np.arange(1, n, dtype=np.float64)[:, None]
+        right_n = n - left_n
+        cum = cum[:-1]
+        ssl = np.einsum("imc,imc->im", cum, cum)
+        rcounts = total[None, :, :] - cum
+        ssr = np.einsum("imc,imc->im", rcounts, rcounts)
+        w = (left_n - ssl / left_n) + (right_n - ssr / right_n)
+        mids = 0.5 * (Xs[:-1] + Xs[1:])
+        valid = (Xs[1:] > Xs[:-1]) & (mids < Xs[1:])
+        w = np.where(valid, w, np.inf)
+        if w.size == 0:
+            continue
+        i, j = divmod(int(np.argmin(w)), w.shape[1])
+        if w[i, j] < best_w:
+            best_w, best_f, best_t = float(w[i, j]), int(fc[j]), float(mids[i, j])
+    if not np.isfinite(best_w):
+        return None
+    return best_w, best_f, best_t
 
 
 class TestGini:
@@ -211,6 +254,94 @@ class TestDecisionTree:
         model = train("dt", np.arange(8, dtype=float).reshape(4, 2), [0, 0, 1, 1])
         with pytest.raises(DimensionMismatch):
             predict(model, np.ones((2, 3)))
+
+
+class TestSplitSearch:
+    def test_matches_onehot_reference_on_random_nodes(self):
+        rng = np.random.default_rng(31)
+        # the corners first: smallest and largest node, one and all features
+        sizes = np.concatenate([[2, 2, 240, 240], rng.integers(2, 241, size=296)])
+        widths = np.concatenate([[1, 468, 1, 468], rng.integers(1, 469, size=296)])
+        for case, (n, m) in enumerate(zip(sizes, widths)):
+            decimals = int(rng.integers(1, 4))  # coarse values bring ties
+            X = np.round(rng.normal(size=(240, 468)), decimals)
+            n_classes = int(rng.integers(2, 21))
+            y = rng.integers(0, n_classes, size=240)
+            idx = rng.choice(240, size=n, replace=False)
+            feats = np.sort(rng.choice(468, size=m, replace=False))
+            want = onehot_best_split(X, y, idx, feats, n_classes)
+            assert _best_split(X, y, idx, feats, n_classes) == want, f"case {case}"
+        assert (widths > 64).sum() > 100
+
+    def test_equal_splits_in_later_chunks_lose(self):
+        # class sizes 25/10/20: the best cut isolates class 0, after 25
+        # rows sorted by c and after 30 rows sorted by -c, at the same w
+        rng = np.random.default_rng(32)
+        y = rng.permutation(np.repeat([0, 1, 2], [25, 10, 20]))
+        c = 10.0 * y + rng.random(y.size)
+        X = np.round(rng.normal(size=(y.size, 200)), 1)
+        X[:, 10] = -c    # chunk 0, cut after row 30
+        X[:, 100] = c    # chunk 1, cut after row 25
+        X[:, 150] = c    # chunk 2, a duplicate of column 100
+        idx, feats = np.arange(y.size), np.arange(200)
+        got = _best_split(X, y, idx, feats, 3)
+        assert got == onehot_best_split(X, y, idx, feats, 3)
+        # one argmin over all features would take column 100's earlier cut
+        assert got[0] == 30 - 500 / 30 and got[1] == 10
+        # without column 10 the duplicates tie; the earlier chunk wins
+        got = _best_split(X, y, idx, feats[feats != 10], 3)
+        assert got == onehot_best_split(X, y, idx, feats[feats != 10], 3)
+        assert got[1] == 100
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_node_samples", "impurity")
+
+
+def tree_digest(trees):
+    h = hashlib.sha256()
+    for tree in trees:
+        for name in TREE_ARRAYS:
+            a = np.ascontiguousarray(getattr(tree, name))
+            h.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_d1(tmp_path_factory):
+    """10-user D1 slice (200 x 468) of a seed-42 synth corpus."""
+    root = tmp_path_factory.mktemp("golden")
+    cfg = synth.SynthConfig(
+        users=10, captures_per_user=1, frames_per_capture=20,
+        packets_per_second=20, noise_sigma=1.0, seed=42,
+    )
+    manifest = synth.generate(cfg, root)
+    rows = []
+    for e in manifest["captures"]:
+        meta = CaptureMeta(capture_number=e["capture_number"], gender=e["gender"],
+                           hand=e["hand"], user_id=e["user_id"])
+        rows.extend(build_rows(read_capture(os.path.join(root, e["path"])), meta)[0])
+    sl = slice_dataset(rows, "D1", cfg.packets_per_second)
+    return sl.rows.features, sl.rows.labels
+
+
+class TestSeededTreesGolden:
+    """Every array of every tree, hashed; the digests were recorded from
+    the one-hot split search, so any change to a split, a threshold, a
+    leaf or the forest's seeding shows here."""
+
+    def test_inputs_unchanged(self, golden_d1):
+        X, y = golden_d1
+        digest = hashlib.sha256(X.tobytes() + y.tobytes()).hexdigest()
+        assert digest == "954adf30e3da01aa73f1ceba0e5cfafebfecc241b6c1aa4d7f3a8aa9b15d59a7", "the synth/DSP inputs changed, not the trees"
+
+    def test_random_forest(self, golden_d1):
+        model = train("rf", *golden_d1, seed=42)
+        assert tree_digest(model.trees) == "539ca89b019c11280245357071b4222f01900b947f95e5b8441b1adc8ea11fcf"
+
+    def test_decision_tree(self, golden_d1):
+        model = train("dt", *golden_d1, seed=42)
+        assert tree_digest([model]) == "b9c6b93a2de799005e4792c0a3e7ea99684956267757116b4e5c0430924a2d9c"
 
 
 class TestRandomForest:
