@@ -25,7 +25,7 @@ from . import dataset as ds
 from . import gatekeeper as gk
 from . import synth
 from .codec import read_capture
-from .dsp import SanitizerConfig, apply_scaler, fit_scaler
+from .dsp import SanitizerConfig, fit_scaler
 from .errors import HandpassError
 from .learners import (
     KINDS,
@@ -36,6 +36,7 @@ from .learners import (
     select_subcarriers,
     train,
 )
+from .learners.importance import subcarrier_importance
 
 log = logging.getLogger("handpass")
 
@@ -125,9 +126,7 @@ def cmd_dataset(args) -> int:
                               right_hand_only=not args.include_left)
     matrix = sliced.rows
     if args.scaler != "none":
-        matrix.features = apply_scaler(
-            fit_scaler(args.scaler, matrix.features), matrix.features
-        )
+        matrix.features = fit_scaler(args.scaler, matrix.features).transform(matrix.features)
     ds.write_csv(matrix, args.out)
     print(f"slice {args.slice}: {matrix.n_rows} rows x {matrix.n_columns} columns"
           f" ({dropped} frames dropped) -> {args.out}")
@@ -184,10 +183,7 @@ def cmd_select(args) -> int:
     print(f"top {args.top} subcarriers by {KINDS[args.model]} importance:")
     print(" ".join(str(k) for k in picked))
     if args.report:
-        per_k = {}
-        for name, w in zip(m.feature_names, imp):
-            k = int(name.split("_", 1)[1])
-            per_k[k] = per_k.get(k, 0.0) + float(w)
+        per_k = subcarrier_importance(imp, m.feature_names)
         with open(args.report, "w", encoding="ascii") as fh:
             fh.write("subcarrier,importance\n")
             for k in sorted(per_k):
@@ -206,7 +202,7 @@ def _store_path(args) -> str:
 def cmd_enroll(args) -> int:
     m, X, y = _load_xy(args.data)
     by_user = {int(u): X[y == u] for u in np.unique(y)}
-    prune = len(m.feature_names) == 468
+    prune = len(m.feature_names) == len(ds.feature_names(prune=True))
     store = gk.enroll(
         by_user,
         hyper=_hyper_from(args, args.model),

@@ -70,12 +70,6 @@ class CsiFrame:
     def spatial_stream(self) -> int:
         return (self.core_spatial >> 3) & 0x7
 
-    @property
-    def csi_complex(self) -> np.ndarray:
-        """Subcarriers as complex128, still in hardware order."""
-        c = self.csi.astype(np.float64)
-        return c[:, 0] + 1j * c[:, 1]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CsiFrame):
             return NotImplemented

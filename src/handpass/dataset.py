@@ -16,6 +16,7 @@ import numpy as np
 
 from .codec import CaptureFile, CsiFrame
 from .dsp import (
+    N_SUBCARRIERS,
     SanitizerConfig,
     SubcarrierMask,
     normalize_cfr,
@@ -137,24 +138,45 @@ def feature_names(mask: SubcarrierMask | None = None, prune: bool = False) -> tu
     return tuple(f"amp_{k}" for k in ks) + tuple(f"phase_{k}" for k in ks)
 
 
+def features(
+    csi: np.ndarray,
+    mask: SubcarrierMask,
+    sanitizer: SanitizerConfig,
+    prune: bool,
+) -> tuple:
+    """Run a block of frames through the preprocessing pipeline.
+
+    csi is (n, 256, 2) int16 in hardware order.  Pipeline: logical
+    reorder -> per-frame gain normalization -> phase detrending.  Returns
+    (X, kept): X holds one row per kept frame, amplitudes then phases in
+    degrees, and the boolean kept marks the frames that were not all zero
+    (those cannot be normalized and are dropped).  With prune the 22
+    null/pilot subcarriers are dropped from both blocks.
+    """
+    cfr, kept = normalize_cfr(to_cfr(csi))
+    residual = sanitize_phase(cfr, sanitizer, mask)
+    cols = mask.useful_positions if prune else slice(None)
+    amp, residual = np.abs(cfr[:, cols]), residual[:, cols]
+    # The polar round trip sets the last bit of both blocks, so it stays.
+    z = amp * np.exp(1j * residual)
+    phase = np.angle(z)
+    # 0 * exp(i r) has no angle; a zero sample keeps its detrended phase.
+    zero = amp == 0.0
+    phase[zero] = np.angle(np.exp(1j * residual[zero]))
+    return np.concatenate([np.abs(z), np.degrees(phase)], axis=1), kept
+
+
 def frame_to_features(
     frame: CsiFrame,
     mask: SubcarrierMask,
     sanitizer: SanitizerConfig,
     prune: bool,
 ) -> np.ndarray:
-    """Run one frame through the preprocessing pipeline and lay out features.
-
-    Pipeline: logical reorder -> per-frame gain normalization -> phase
-    detrending.  Output is amplitudes then phases in degrees; with prune
-    the 22 null/pilot subcarriers are dropped from both blocks.
-    """
-    cfr = sanitize_phase(normalize_cfr(to_cfr(frame)), sanitizer, mask)
-    amp, phase = cfr.amplitude, cfr.phase_deg
-    if prune:
-        pos = mask.useful_positions
-        amp, phase = amp[pos], phase[pos]
-    return np.concatenate([amp, phase])
+    """The feature row of one frame; raises ZeroSignal for an all-zero frame."""
+    X, kept = features(frame.csi[None], mask, sanitizer, prune)
+    if not kept[0]:
+        raise ZeroSignal("all-zero frame cannot be normalized")
+    return X[0]
 
 
 def build_rows(
@@ -167,25 +189,29 @@ def build_rows(
     """Convert every frame of a capture into a FeatureRow.
 
     Returns (rows, dropped) where dropped counts all-zero frames that
-    cannot be normalized.  Row width is checked against the fixed layout
-    (512 features full, 468 pruned).
+    cannot be normalized.
     """
     if mask is None:
         mask = SubcarrierMask()
     if sanitizer is None:
         sanitizer = SanitizerConfig()
-    expected = 2 * len(mask.useful) if prune else 2 * 256
-    rows, dropped = [], 0
-    for i, frame in enumerate(capture.frames):
-        try:
-            feats = frame_to_features(frame, mask, sanitizer, prune)
-        except ZeroSignal:
-            dropped += 1
-            continue
-        if feats.shape[0] != expected:
-            raise RaggedRows(f"row width {feats.shape[0]}, expected {expected}")
-        rows.append(FeatureRow(features=feats, meta=meta, frame_index=i))
-    return rows, dropped
+    # reshape gives a capture without frames the block shape (0, 256, 2)
+    csi = np.array([f.csi for f in capture.frames], dtype=np.int16)
+    X, kept = features(csi.reshape(-1, N_SUBCARRIERS, 2), mask, sanitizer, prune)
+    rows = [
+        FeatureRow(features=x, meta=meta, frame_index=int(i))
+        for x, i in zip(X, np.flatnonzero(kept))
+    ]
+    return rows, len(kept) - len(rows)
+
+
+def _layout_names(width: int):
+    """Feature names of the pruned or full layout that is ``width`` wide, or None."""
+    for prune in (True, False):
+        names = feature_names(prune=prune)
+        if len(names) == width:
+            return names
+    return None
 
 
 def slice_dataset(
@@ -230,9 +256,7 @@ def slice_dataset(
                 )
             picked.extend(have[:need])
 
-    names = feature_names(prune=(width == 468)) if width in (512, 468) else tuple(
-        f"f_{i}" for i in range(width)
-    )
+    names = _layout_names(width) or tuple(f"f_{i}" for i in range(width))
     return DatasetSlice(
         name=slice_name,
         seconds_per_capture=seconds,
@@ -251,8 +275,8 @@ def write_csv(data, path) -> None:
         m = data
     else:
         rows = list(data)
-        width = rows[0].features.shape[0] if rows else 512
-        m = FeatureMatrix.from_rows(rows, feature_names(prune=(width == 468)))
+        width = rows[0].features.shape[0] if rows else None
+        m = FeatureMatrix.from_rows(rows, _layout_names(width) or feature_names())
     header = ",".join(m.feature_names + META_COLUMNS)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")

@@ -1,8 +1,8 @@
 """Frequency-domain preprocessing for CSI frames.
 
-Turns raw hardware-order subcarrier samples into sanitized amplitude and
-phase vectors: FFT shift into logical order, per-frame amplitude
-normalization, ridge-regularized linear phase detrending over the useful
+Turns blocks of raw hardware-order subcarrier samples, one frame per
+row, into sanitized amplitude and phase rows: FFT shift into logical
+order, per-frame amplitude normalization, ridge-regularized linear phase detrending over the useful
 subcarriers, and the three dataset-level feature scalers.
 """
 
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CsiFrame
-from .errors import DimensionMismatch, EmptyMatrix, OddLength, ZeroSignal
+from .errors import DimensionMismatch, EmptyMatrix, OddLength
 
 N_SUBCARRIERS = 256
 LOGICAL_INDICES = np.arange(-128, 128)
@@ -65,103 +64,85 @@ class SanitizerConfig:
             raise ValueError("lam must be non-negative")
 
 
-@dataclass
-class CfrVector:
-    """One frame's channel frequency response in logical subcarrier order.
-
-    Position i holds logical subcarrier i - 128.  Amplitude and phase are
-    always derived from ``subcarriers`` so the three views stay consistent.
-    """
-
-    subcarriers: np.ndarray
-    amplitude: np.ndarray
-    phase_deg: np.ndarray
-
-    @classmethod
-    def from_subcarriers(cls, z: np.ndarray) -> "CfrVector":
-        z = np.asarray(z, dtype=np.complex128)
-        if z.shape != (N_SUBCARRIERS,):
-            raise ValueError(f"expected {N_SUBCARRIERS} subcarriers, got {z.shape}")
-        return cls(
-            subcarriers=z,
-            amplitude=np.abs(z),
-            phase_deg=np.degrees(np.angle(z)),
-        )
-
-    def phase_rad(self) -> np.ndarray:
-        return np.angle(self.subcarriers)
-
-
 def fft_shift(values) -> np.ndarray:
-    """Rotate a vector by half its length: out[i] = in[(i + n/2) mod n].
+    """Rotate the last axis by half its length: out[i] = in[(i + n/2) mod n].
 
     Maps hardware subcarrier order to logical order -n/2 .. n/2-1 and is
     its own inverse for even n.
     """
     values = np.asarray(values)
-    n = values.shape[0]
+    n = values.shape[-1]
     if n % 2 != 0:
         raise OddLength(f"fft_shift needs an even length, got {n}")
     half = n // 2
-    return np.concatenate([values[half:], values[:half]])
+    return np.concatenate([values[..., half:], values[..., :half]], axis=-1)
 
 
-def to_cfr(frame: CsiFrame) -> CfrVector:
-    """Promote a raw frame to a complex CFR vector in logical order."""
-    return CfrVector.from_subcarriers(fft_shift(frame.csi_complex))
+def to_cfr(csi) -> np.ndarray:
+    """Promote (n, 256, 2) int16 hardware-order samples to an (n, 256)
+    complex CFR block in logical order (position i is subcarrier i - 128)."""
+    csi = np.asarray(csi)
+    if csi.ndim != 3 or csi.shape[1:] != (N_SUBCARRIERS, 2):
+        raise ValueError(f"expected (n, {N_SUBCARRIERS}, 2) samples, got {csi.shape}")
+    c = csi.astype(np.float64)
+    return fft_shift(c[..., 0] + 1j * c[..., 1])
 
 
-def normalize_cfr(cfr: CfrVector) -> CfrVector:
-    """Divide every subcarrier by the mean amplitude over all 256 bins.
+def normalize_cfr(cfr: np.ndarray) -> tuple:
+    """Divide every row by its mean amplitude over all 256 bins.
 
-    Removes per-frame gain (AGC and transmit-power variation); the
-    resulting mean amplitude is 1 and phases are untouched.
+    Removes per-frame gain (AGC and transmit-power variation); each
+    resulting row has mean amplitude 1 and its phases are untouched.
+    Returns (normalized rows, kept): rows whose mean amplitude is 0
+    (all-zero frames) cannot be normalized and are left out, and the
+    boolean ``kept`` marks the input rows that remain.
     """
-    mean_amp = float(cfr.amplitude.mean())
-    if mean_amp <= 0.0:
-        raise ZeroSignal("all-zero frame cannot be normalized")
-    return CfrVector.from_subcarriers(cfr.subcarriers / mean_amp)
+    mean_amp = np.abs(cfr).mean(axis=1)
+    kept = mean_amp > 0.0
+    return cfr[kept] / mean_amp[kept, None], kept
 
 
 def sanitize_phase(
-    cfr: CfrVector,
+    cfr: np.ndarray,
     cfg: SanitizerConfig | None = None,
     mask: SubcarrierMask | None = None,
-) -> CfrVector:
-    """Remove the frame's linear phase trend (sampling/clock offsets).
+) -> np.ndarray:
+    """Remove each row's linear phase trend (sampling/clock offsets).
 
     Phases are unwrapped across the ascending useful subcarriers, a line
     a*k + b is fitted to them by ridge-regularized least squares
     (penalty lam * (a^2 + b^2)), and the fitted trend is subtracted from
-    all 256 phases.  Amplitudes are untouched.
+    all 256 phases.  Returns the (n, 256) residual phases in radians;
+    amplitudes are not part of this stage.
     """
     if cfg is None:
         cfg = SanitizerConfig()
     if mask is None:
         mask = SubcarrierMask()
 
-    phase = np.angle(cfr.subcarriers)
+    phase = np.angle(cfr)
     pos = mask.useful_positions
     k = np.asarray(mask.useful, dtype=np.float64)
 
-    phi = phase[pos]
+    phi = phase[:, pos]
     if cfg.unwrap:
-        phi = np.unwrap(phi)
+        phi = np.unwrap(phi, axis=1)
+    # Strided rows round the dot product differently; contiguous rows give
+    # the same sums as a per-frame np.dot and .sum().
+    phi = np.ascontiguousarray(phi)
 
     # Normal equations of the ridge problem, solved in closed form.
     s2 = float(np.dot(k, k)) + cfg.lam
     s1 = float(k.sum())
     s0 = float(k.size) + cfg.lam
-    r1 = float(np.dot(k, phi))
-    r0 = float(phi.sum())
+    r1 = np.vecdot(phi, k)
+    r0 = phi.sum(axis=1)
     det = s2 * s0 - s1 * s1
     a = (s0 * r1 - s1 * r0) / det
     b = (s2 * r0 - s1 * r1) / det
 
-    full_phase = phase.copy()
-    full_phase[pos] = phi
-    residual = full_phase - (a * LOGICAL_INDICES + b)
-    return CfrVector.from_subcarriers(cfr.amplitude * np.exp(1j * residual))
+    phase[:, pos] = phi
+    return phase - (a[:, None] * LOGICAL_INDICES + b[:, None])
 
 
 @dataclass
@@ -219,7 +200,3 @@ def fit_scaler(kind: str, matrix: np.ndarray) -> FittedScaler:
         q1, q3 = np.percentile(x, [25, 75], axis=0)
         a, b = np.percentile(x, 50, axis=0), q3 - q1
     return FittedScaler(kind=kind, a=np.asarray(a, dtype=np.float64), b=np.asarray(b, dtype=np.float64))
-
-
-def apply_scaler(scaler: FittedScaler, matrix: np.ndarray) -> np.ndarray:
-    return scaler.transform(matrix)

@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .codec import CsiFrame, read_capture
-from .dataset import frame_to_features
-from .dsp import FittedScaler, SanitizerConfig, SubcarrierMask, apply_scaler, fit_scaler
+from .dataset import features
+from .dsp import FittedScaler, SanitizerConfig, SubcarrierMask, fit_scaler
 from .errors import (
     BadPolicy,
     DegenerateLabels,
@@ -103,7 +103,7 @@ def enroll(
         [np.full(np.asarray(rows_by_user[u]).shape[0], u, dtype=np.int64) for u in users]
     )
     scaler = fit_scaler(scaler_kind, X)
-    model = train(kind, apply_scaler(scaler, X), y, hyper, seed)
+    model = train(kind, scaler.transform(X), y, hyper, seed)
     return EnrollmentStore(
         model=model,
         scaler=scaler,
@@ -147,20 +147,15 @@ def authenticate(
             f"{len(frames)} frames span less than {window_seconds} s"
             f" at {store.packets_per_second} pkt/s (need {need})"
         )
-    feats = []
-    for frame in frames:
-        try:
-            feats.append(frame_to_features(frame, store.mask, store.sanitizer, store.prune))
-        except ZeroSignal:
-            continue
-    if not feats:
+    X, _ = features(np.stack([f.csi for f in frames]), store.mask, store.sanitizer, store.prune)
+    used = X.shape[0]
+    if not used:
         raise ZeroSignal("every frame in the window was degenerate")
-    X = apply_scaler(store.scaler, np.stack(feats))
-    preds = predict(store.model, X)
+    preds = predict(store.model, store.scaler.transform(X))
     values, counts = np.unique(preds, return_counts=True)
     top = int(np.argmax(counts))  # ties resolve to the lowest label
     user = int(values[top])
-    share = float(counts[top] / len(feats))
+    share = float(counts[top] / used)
 
     if share < threshold:
         verdict, reason = "Deny", "below threshold"
@@ -173,8 +168,8 @@ def authenticate(
     decision = AuthDecision(
         user_id=user,
         vote_share=share,
-        frames_used=len(feats),
-        window_seconds=len(feats) / store.packets_per_second,
+        frames_used=used,
+        window_seconds=used / store.packets_per_second,
         decision=verdict,
         reason=reason,
     )
@@ -219,14 +214,6 @@ class AuditLog:
                 except json.JSONDecodeError:
                     warnings.append(f"line {lineno}: undecodable record skipped")
         return records[start:stop], warnings
-
-
-def audit_append(log: AuditLog, decision: AuthDecision) -> None:
-    log.append(decision)
-
-
-def audit_read(log: AuditLog, start: int = 0, stop: int | None = None):
-    return log.read(start, stop)
 
 
 def _scaler_to_doc(s: FittedScaler) -> dict:

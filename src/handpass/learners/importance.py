@@ -49,11 +49,10 @@ def feature_importance(model) -> np.ndarray:
     )
 
 
-def select_subcarriers(importances, top_m: int, names=None) -> list:
-    """Top subcarriers by summed (amplitude + phase) importance.
+def subcarrier_importance(importances, names=None) -> dict:
+    """Summed (amplitude + phase) importance per logical subcarrier index.
 
-    names defaults to the pruned feature layout.  Ties break toward the
-    lower subcarrier index.
+    names defaults to the pruned feature layout.
     """
     if names is None:
         from ..dataset import feature_names
@@ -70,5 +69,15 @@ def select_subcarriers(importances, top_m: int, names=None) -> list:
         if m is None:
             raise ValueError(f"feature name {name!r} does not map to a subcarrier")
         per_k[int(m.group(2))] = per_k.get(int(m.group(2)), 0.0) + float(w)
-    ranked = sorted(per_k.items(), key=lambda kv: (-kv[1], kv[0]))
+    return per_k
+
+
+def select_subcarriers(importances, top_m: int, names=None) -> list:
+    """Top subcarriers by summed (amplitude + phase) importance.
+
+    names defaults to the pruned feature layout.  Ties break toward the
+    lower subcarrier index.
+    """
+    ranked = sorted(subcarrier_importance(importances, names).items(),
+                    key=lambda kv: (-kv[1], kv[0]))
     return [k for k, _ in ranked[:top_m]]

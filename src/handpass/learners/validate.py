@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp import apply_scaler, fit_scaler
+from ..dsp import fit_scaler
 from ..errors import TooFewSamples
 from .base import HyperParams, predict, train
 
@@ -115,7 +115,7 @@ def cross_validate(
     classes = np.unique(y)
     folds = stratified_folds(y, k, seed)
     if scaler is not None and not per_fold_scaler:
-        X = apply_scaler(fit_scaler(scaler, X), X)
+        X = fit_scaler(scaler, X).transform(X)
 
     report = CvReport(
         kind=kind,
@@ -130,8 +130,8 @@ def cross_validate(
         Xte, yte = X[test], y[test]
         if scaler is not None and per_fold_scaler:
             fitted = fit_scaler(scaler, Xtr)
-            Xtr = apply_scaler(fitted, Xtr)
-            Xte = apply_scaler(fitted, Xte)
+            Xtr = fitted.transform(Xtr)
+            Xte = fitted.transform(Xte)
         model = train(kind, Xtr, ytr, hyper, seed)
         cm = confusion_matrix(yte, predict(model, Xte), classes)
         m = metrics_from_confusion(cm)

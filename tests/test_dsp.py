@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from handpass.codec import CsiFrame
+from handpass.dataset import features, frame_to_features
 from handpass.dsp import (
-    CfrVector,
     FittedScaler,
     SanitizerConfig,
     SubcarrierMask,
-    apply_scaler,
     fft_shift,
     fit_scaler,
     normalize_cfr,
@@ -17,10 +16,6 @@ from handpass.dsp import (
 from handpass.errors import DimensionMismatch, EmptyMatrix, OddLength, ZeroSignal
 
 K = np.arange(-128, 128)
-
-
-def cfr_from_complex(z):
-    return CfrVector.from_subcarriers(np.asarray(z, dtype=np.complex128))
 
 
 class TestMask:
@@ -72,52 +67,61 @@ class TestFftShift:
 
 class TestToCfr:
     def test_three_four_five_triangle(self):
-        csi = np.zeros((256, 2), dtype=np.int16)
-        csi[:, 0], csi[:, 1] = 3, 4
-        cfr = to_cfr(CsiFrame(csi=csi))
-        assert np.allclose(cfr.amplitude, 5.0, atol=1e-9)
-        assert np.allclose(cfr.phase_deg, np.degrees(np.arctan2(4, 3)), atol=1e-9)
+        csi = np.zeros((1, 256, 2), dtype=np.int16)
+        csi[..., 0], csi[..., 1] = 3, 4
+        z = to_cfr(csi)
+        assert np.allclose(np.abs(z), 5.0, atol=1e-9)
+        assert np.allclose(np.degrees(np.angle(z)), np.degrees(np.arctan2(4, 3)), atol=1e-9)
 
     def test_matches_direct_formulas(self):
         rng = np.random.default_rng(2)
         csi = rng.integers(-3000, 3000, size=(256, 2), dtype=np.int16)
-        cfr = to_cfr(CsiFrame(csi=csi))
+        z = to_cfr(csi[None])[0]
         re = fft_shift(csi[:, 0].astype(float))
         im = fft_shift(csi[:, 1].astype(float))
-        assert np.allclose(cfr.amplitude, np.sqrt(re**2 + im**2), atol=1e-9)
-        assert np.allclose(cfr.phase_deg, np.degrees(np.arctan2(im, re)), atol=1e-9)
+        assert np.allclose(np.abs(z), np.sqrt(re**2 + im**2), atol=1e-9)
+        assert np.allclose(np.degrees(np.angle(z)), np.degrees(np.arctan2(im, re)), atol=1e-9)
 
     def test_views_are_consistent(self):
+        # every row of a block is the frame's own CFR, whatever its neighbours
         rng = np.random.default_rng(3)
-        csi = rng.integers(-100, 100, size=(256, 2), dtype=np.int16)
-        cfr = to_cfr(CsiFrame(csi=csi))
-        assert np.allclose(cfr.phase_deg, np.degrees(np.angle(cfr.subcarriers)))
-        assert np.allclose(cfr.amplitude, np.abs(cfr.subcarriers))
+        csi = rng.integers(-100, 100, size=(5, 256, 2), dtype=np.int16)
+        z = to_cfr(csi)
+        for i in range(5):
+            assert np.array_equal(z[i], to_cfr(csi[i : i + 1])[0])
+        with pytest.raises(ValueError):
+            to_cfr(csi[0])
 
 
 class TestNormalize:
     def test_half_and_three_halves(self):
         amps = np.where(K % 2 == 0, 1.0, 3.0)  # mean amplitude = 2
-        out = normalize_cfr(cfr_from_complex(amps))
-        assert np.allclose(out.amplitude[K % 2 == 0], 0.5, atol=1e-12)
-        assert np.allclose(out.amplitude[K % 2 == 1], 1.5, atol=1e-12)
+        out, kept = normalize_cfr(amps[None].astype(np.complex128))
+        assert kept.tolist() == [True]
+        assert np.allclose(np.abs(out[0])[K % 2 == 0], 0.5, atol=1e-12)
+        assert np.allclose(np.abs(out[0])[K % 2 == 1], 1.5, atol=1e-12)
 
     def test_mean_amplitude_becomes_one(self):
         rng = np.random.default_rng(4)
-        z = rng.normal(size=256) + 1j * rng.normal(size=256)
-        out = normalize_cfr(cfr_from_complex(z))
-        assert abs(out.amplitude.mean() - 1.0) < 1e-12
+        z = rng.normal(size=(3, 256)) + 1j * rng.normal(size=(3, 256))
+        out, _ = normalize_cfr(z)
+        assert np.abs(np.abs(out).mean(axis=1) - 1.0).max() < 1e-12
 
     def test_phase_unchanged(self):
         rng = np.random.default_rng(5)
-        z = rng.normal(size=256) + 1j * rng.normal(size=256)
-        before = cfr_from_complex(z)
-        after = normalize_cfr(before)
-        assert np.allclose(after.phase_deg, before.phase_deg, atol=1e-12)
+        z = rng.normal(size=(1, 256)) + 1j * rng.normal(size=(1, 256))
+        out, _ = normalize_cfr(z)
+        assert np.allclose(np.angle(out), np.angle(z), atol=1e-12)
 
     def test_zero_signal(self):
+        z = np.zeros((3, 256), dtype=np.complex128)
+        z[1] = 1.0
+        out, kept = normalize_cfr(z)
+        assert kept.tolist() == [False, True, False]
+        assert out.shape == (1, 256)
+        frame = CsiFrame(csi=np.zeros((256, 2), dtype=np.int16))
         with pytest.raises(ZeroSignal):
-            normalize_cfr(cfr_from_complex(np.zeros(256)))
+            frame_to_features(frame, SubcarrierMask(), SanitizerConfig(), True)
 
 
 def ridge_oracle(k, phi, lam):
@@ -131,8 +135,8 @@ class TestSanitizePhase:
     def test_exact_ramp_zeroed_without_penalty(self):
         a, b = 0.01, 0.3
         z = np.exp(1j * (a * K + b))
-        out = sanitize_phase(cfr_from_complex(z), SanitizerConfig(lam=0.0))
-        assert np.max(np.abs(out.phase_rad())) < 1e-9
+        out = sanitize_phase(z[None], SanitizerConfig(lam=0.0))
+        assert np.max(np.abs(out)) < 1e-9
 
     def test_matches_ridge_oracle(self):
         rng = np.random.default_rng(6)
@@ -141,26 +145,29 @@ class TestSanitizePhase:
         amp = rng.uniform(0.5, 2.0, size=256)
         z = amp * np.exp(1j * phi)
         cfg = SanitizerConfig(lam=0.1)
-        out = sanitize_phase(cfr_from_complex(z), cfg, mask)
+        out = sanitize_phase(z[None], cfg, mask)[0]
         a, b = ridge_oracle(
             np.asarray(mask.useful, dtype=float), phi[mask.useful_positions], cfg.lam
         )
         expected = phi - (a * K + b)
-        assert np.max(np.abs(out.phase_rad() - expected)) < 1e-9
+        assert np.max(np.abs(out - expected)) < 1e-9
 
     def test_amplitude_untouched(self):
+        # the amplitude block is the normalized amplitude, through the polar
+        # round trip that rebuilds each sample from its detrended phase
         rng = np.random.default_rng(7)
-        z = rng.uniform(0.5, 2.0, 256) * np.exp(1j * rng.uniform(-1, 1, 256))
-        before = cfr_from_complex(z)
-        after = sanitize_phase(before)
-        assert np.allclose(after.amplitude, before.amplitude, atol=1e-12)
+        csi = rng.integers(-900, 900, size=(4, 256, 2), dtype=np.int16)
+        X, _ = features(csi, SubcarrierMask(), SanitizerConfig(), prune=False)
+        normed, _ = normalize_cfr(to_cfr(csi))
+        assert np.allclose(X[:, :256], np.abs(normed), atol=1e-12)
 
     def test_unwrap_recovers_steep_ramp(self):
         # slope large enough that raw phases wrap several times
         a, b = 0.08, -0.7
         z = np.exp(1j * (a * K + b))
-        out = sanitize_phase(cfr_from_complex(z), SanitizerConfig(lam=0.0))
-        assert np.max(np.abs(out.phase_rad())) < 1e-9
+        out = sanitize_phase(z[None], SanitizerConfig(lam=0.0))
+        # null/pilot bins are not unwrapped, so compare the wrapped residual
+        assert np.max(np.abs(np.angle(np.exp(1j * out)))) < 1e-9
 
     def test_unpenalized_fit_is_idempotent(self):
         # lam=0 leaves a residual orthogonal to the trend, so a second
@@ -168,24 +175,116 @@ class TestSanitizePhase:
         rng = np.random.default_rng(8)
         cfg = SanitizerConfig(lam=0.0)
         z = rng.uniform(0.5, 2, 256) * np.exp(1j * 0.3 * rng.normal(size=256))
-        once = sanitize_phase(cfr_from_complex(z), cfg)
-        twice = sanitize_phase(once, cfg)
-        assert np.allclose(once.phase_rad(), twice.phase_rad(), atol=1e-9)
+        once = sanitize_phase(z[None], cfg)
+        twice = sanitize_phase(np.abs(z) * np.exp(1j * once), cfg)
+        assert np.allclose(once, twice, atol=1e-9)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             SanitizerConfig(lam=-0.1)
 
 
+def oracle_row(csi, lam=0.1):
+    """Pruned feature row of one frame from hypot, arctan2, unwrap and a
+    2x2 ridge solve; phases in degrees, unwrapped (not wrapped to 180)."""
+    mask = SubcarrierMask()
+    hw = K % 256                      # hardware index of logical k
+    re, im = csi[hw, 0].astype(float), csi[hw, 1].astype(float)
+    amp = np.hypot(re, im)
+    amp = amp / amp.mean()
+    pos, k = mask.useful_positions, np.asarray(mask.useful, dtype=float)
+    phi = np.unwrap(np.arctan2(im[pos], re[pos]))
+    a, b = ridge_oracle(k, phi, lam)
+    return np.concatenate([amp[pos], np.degrees(phi - (a * k + b))])
+
+
+class TestZeroAmplitudePhase:
+    def test_zero_sample_keeps_detrended_phase(self):
+        rng = np.random.default_rng(11)
+        csi = rng.integers(-900, 900, size=(256, 2), dtype=np.int16)
+        csi[-17 % 256] = 0            # one useful subcarrier, k = -17
+        got = frame_to_features(CsiFrame(csi=csi), SubcarrierMask(), SanitizerConfig(), True)
+        want = oracle_row(csi)
+        assert np.abs(got[:234] - want[:234]).max() < 1e-9
+        off = (got[234:] - want[234:] + 180.0) % 360.0 - 180.0
+        assert np.abs(off).max() < 1e-9
+
+
+def chain_row(csi, mask, cfg, prune):
+    """One frame through the per-frame chain that the batched pass
+    replaced: every stage rebuilt the complex vector and took abs and
+    angle again.  Returns None for an all-zero frame."""
+    c = csi.astype(np.float64)
+    z = c[:, 0] + 1j * c[:, 1]
+    z = np.concatenate([z[128:], z[:128]])
+    mean_amp = float(np.abs(z).mean())
+    if mean_amp <= 0.0:
+        return None
+    z = z / mean_amp
+    amplitude, phase = np.abs(z), np.angle(z)
+    pos = mask.useful_positions
+    k = np.asarray(mask.useful, dtype=np.float64)
+    phi = phase[pos]
+    if cfg.unwrap:
+        phi = np.unwrap(phi)
+    s2 = float(np.dot(k, k)) + cfg.lam
+    s1 = float(k.sum())
+    s0 = float(k.size) + cfg.lam
+    r1 = float(np.dot(k, phi))
+    r0 = float(phi.sum())
+    det = s2 * s0 - s1 * s1
+    a = (s0 * r1 - s1 * r0) / det
+    b = (s2 * r0 - s1 * r1) / det
+    full_phase = phase.copy()
+    full_phase[pos] = phi
+    z = amplitude * np.exp(1j * (full_phase - (a * K + b)))
+    amp, phase_deg = np.abs(z), np.degrees(np.angle(z))
+    if prune:
+        amp, phase_deg = amp[pos], phase_deg[pos]
+    return np.concatenate([amp, phase_deg])
+
+
+def pi_step_block(rng):
+    """A frame whose useful neighbours k = 20, 21 are antipodal integer
+    samples: their phases differ by exactly pi."""
+    csi = rng.integers(-900, 900, size=(1, 256, 2), dtype=np.int16)
+    csi[0, 20], csi[0, 21] = (-11, 10), (825, -750)
+    return csi
+
+
+class TestBatchedPassMatchesChain:
+    """features() is bit-equal to the per-frame chain, except at (0, 0)
+    samples, whose phase the chain lost (TestZeroAmplitudePhase)."""
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("unwrap", [True, False])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 5.0])
+    def test_bit_equal(self, lam, unwrap, prune):
+        rng = np.random.default_rng(12)
+        full = rng.integers(-32768, 32768, size=(40, 256, 2), dtype=np.int16)
+        full[3] = 0                   # an all-zero frame is dropped
+        small = rng.integers(-3, 4, size=(40, 256, 2), dtype=np.int16)
+        mask, cfg = SubcarrierMask(), SanitizerConfig(lam=lam, unwrap=unwrap)
+        cols = mask.useful_positions if prune else np.arange(256)
+        for csi in (full, small, pi_step_block(rng)):
+            X, kept = features(csi, mask, cfg, prune)
+            rows = [chain_row(f, mask, cfg, prune) for f in csi]
+            assert kept.tolist() == [r is not None for r in rows]
+            want = np.stack([r for r in rows if r is not None])
+            zero = (to_cfr(csi[kept]) == 0)[:, cols]
+            same = (X == want) | np.concatenate([zero, zero], axis=1)
+            assert X.shape == want.shape and same.all()
+
+
 class TestScalers:
     def test_minmax_hand_example(self):
         col = np.array([[1.0], [2.0], [3.0]])
-        out = apply_scaler(fit_scaler("minmax", col), col)
+        out = fit_scaler("minmax", col).transform(col)
         assert np.allclose(out.ravel(), [0.0, 0.5, 1.0], atol=1e-12)
 
     def test_zscore_hand_example(self):
         col = np.array([[1.0], [2.0], [3.0]])
-        out = apply_scaler(fit_scaler("zscore", col), col)
+        out = fit_scaler("zscore", col).transform(col)
         root = np.sqrt(1.5)
         assert np.allclose(out.ravel(), [-root, 0.0, root], atol=1e-12)
 
@@ -196,19 +295,19 @@ class TestScalers:
 
     def test_robust_hand_example(self):
         col = np.array([[1.0], [2.0], [3.0], [4.0]])
-        out = apply_scaler(fit_scaler("robust", col), col)
+        out = fit_scaler("robust", col).transform(col)
         # median 2.5, q1 1.75, q3 3.25 with linear interpolation
         assert np.allclose(out.ravel(), [-1.0, -1 / 3, 1 / 3, 1.0], atol=1e-12)
 
     def test_constant_column_maps_to_zero(self):
         col = np.full((5, 2), 7.0)
         for kind in ("minmax", "zscore", "robust"):
-            out = apply_scaler(fit_scaler(kind, col), col)
+            out = fit_scaler(kind, col).transform(col)
             assert np.array_equal(out, np.zeros((5, 2)))
 
     def test_scaling_is_per_column(self):
         X = np.array([[0.0, 100.0], [10.0, 300.0]])
-        out = apply_scaler(fit_scaler("minmax", X), X)
+        out = fit_scaler("minmax", X).transform(X)
         assert np.allclose(out, [[0, 0], [1, 1]], atol=1e-12)
 
     def test_transform_new_data_uses_fitted_params(self):

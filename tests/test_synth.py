@@ -6,8 +6,8 @@ import pytest
 
 from handpass import synth
 from handpass.codec import read_capture
-from handpass.dataset import CaptureMeta, FeatureMatrix, build_rows, feature_names
-from handpass.dsp import normalize_cfr, sanitize_phase, to_cfr
+from handpass.dataset import CaptureMeta, FeatureMatrix, build_rows, feature_names, features
+from handpass.dsp import SanitizerConfig, SubcarrierMask, normalize_cfr, to_cfr
 from handpass.learners import HyperParams, cross_validate
 
 
@@ -154,9 +154,10 @@ class TestPreprocessingContract:
             tmp_path, noise_sigma=0.0, ramp_range=0.0, offset_range=0.0,
             gain_jitter=0.8, frames_per_capture=20,
         )
-        raw_means = np.array([to_cfr(f).amplitude.mean() for f in frames])
+        csi = np.stack([f.csi for f in frames])
+        raw_means = np.abs(to_cfr(csi)).mean(axis=1)
         assert raw_means.std() / raw_means.mean() > 0.2  # gain is visible raw
-        normed = np.stack([normalize_cfr(to_cfr(f)).amplitude for f in frames])
+        normed = np.abs(normalize_cfr(to_cfr(csi))[0])
         assert np.abs(normed.mean(axis=1) - 1.0).max() < 1e-12
         assert np.abs(normed - normed[0]).max() < 1e-2  # only quantization left
 
@@ -164,10 +165,10 @@ class TestPreprocessingContract:
         frames = self.frames_for_user(
             tmp_path, noise_sigma=0.0, gain_jitter=0.0, frames_per_capture=20,
         )
-        raw = np.stack([to_cfr(f).phase_deg for f in frames])
-        clean = np.stack(
-            [sanitize_phase(normalize_cfr(to_cfr(f))).phase_deg for f in frames]
-        )
+        csi = np.stack([f.csi for f in frames])
+        raw = np.degrees(np.angle(to_cfr(csi)))
+        X, _ = features(csi, SubcarrierMask(), SanitizerConfig(), prune=False)
+        clean = X[:, 256:]
         # raw phases scatter over the full circle; sanitized ones collapse
         assert raw.std(axis=0).max() > 30.0
         assert np.abs(clean - clean[0]).max() < 0.5
