@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .codec import CsiFrame, read_capture
-from .dataset import features
+from .dataset import feature_names, features
 from .dsp import FittedScaler, SanitizerConfig, SubcarrierMask, fit_scaler
 from .errors import (
     BadPolicy,
@@ -59,6 +59,11 @@ class EnrollmentStore:
     def __post_init__(self):
         if not set(self.roster) <= set(int(c) for c in self.model.classes):
             raise ValueError("roster contains users the model was not trained on")
+        a, b = len(self.scaler.a), len(self.scaler.b)
+        model, layout = self.model.n_features, len(feature_names(self.mask, self.prune))
+        if not a == b == model == layout:
+            raise ValueError(f"store widths disagree: scaler {a}/{b}, model {model},"
+                             f" feature layout {layout}")
 
 
 @dataclass

@@ -1,20 +1,38 @@
-"""Random forest: bagged CART trees with per-split feature subsampling."""
+"""Random forest: bagged CART trees with per-split feature subsampling.
+
+Prediction routes every row through every tree at once.  The trees are
+stacked into one `NodeTable` when the model is built: all their nodes
+in one array, each tree's child indices offset by its start, and leaves
+that loop to themselves, so one gather-compare-step per level moves all
+(rows x trees) entries and the deepest tree sets the number of levels.
+The votes are one bincount over (row, leaf class).  `trees` stays the
+model's content; the table is derived from it and never stored.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import DecisionTreeModel, grow_tree
+from .tree import NodeTable, grow_tree
 
 
 @dataclass
 class RandomForestModel:
     classes: np.ndarray
     trees: list
+    table: NodeTable = field(init=False, repr=False, compare=False)
 
     kind = "RandomForest"
+
+    def __post_init__(self):
+        if not self.trees:
+            raise ValueError("a forest needs at least one tree")
+        shapes = {(t.n_features, t.value.shape[1]) for t in self.trees}
+        if shapes != {(self.trees[0].n_features, self.classes.shape[0])}:
+            raise ValueError("forest trees disagree on n_features or on the classes")
+        self.table = NodeTable.stack(self.trees)
 
     @property
     def n_features(self) -> int:
@@ -24,11 +42,9 @@ class RandomForestModel:
         """Vote fractions: share of trees predicting each class."""
         X = self.trees[0]._check(X)
         n, C = X.shape[0], self.classes.shape[0]
-        votes = np.zeros((n, C), dtype=np.float64)
-        for tree in self.trees:
-            pred = np.argmax(tree.scores(X), axis=1)
-            votes[np.arange(n), pred] += 1.0
-        return votes / len(self.trees)
+        voted = np.arange(n)[:, None] * C + self.table.leaf_class[self.table.route(X)]
+        votes = np.bincount(voted.ravel(), minlength=n * C)
+        return votes.reshape(n, C) / len(self.trees)
 
 
 def grow_forest(X, y_codes, n_classes, classes, hyper, seed) -> RandomForestModel:

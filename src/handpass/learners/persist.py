@@ -39,14 +39,12 @@ def _tree_params(t: DecisionTreeModel) -> dict:
 def _tree_from(params: dict, classes: np.ndarray) -> DecisionTreeModel:
     return DecisionTreeModel(
         classes=classes,
-        n_features=params["n_features"],
+        n_features=int(params["n_features"]),
         feature=np.array(params["feature"], dtype=np.int32),
         threshold=np.array(params["threshold"], dtype=np.float64),
         left=np.array(params["left"], dtype=np.int32),
         right=np.array(params["right"], dtype=np.int32),
-        value=np.array(params["value"], dtype=np.float64).reshape(
-            len(params["feature"]), len(classes)
-        ),
+        value=np.array(params["value"], dtype=np.float64),
         n_node_samples=np.array(params["n_node_samples"], dtype=np.int64),
         impurity=np.array(params["impurity"], dtype=np.float64),
     )
@@ -85,6 +83,9 @@ def model_to_doc(model, hyper: HyperParams | None = None) -> dict:
 
 
 def model_from_doc(doc: dict):
+    """Rebuild a model; a tree that breaks the invariants of
+    `DecisionTreeModel`, or a forest whose trees disagree on their
+    width, raises ValueError here rather than at the first predict."""
     if doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     if doc.get("version") != VERSION:

@@ -2,7 +2,8 @@
 
 The tree is stored as parallel arrays (feature, threshold, left, right,
 value, ...) so batch prediction can route whole row blocks level by
-level instead of walking rows one at a time.
+level instead of walking rows one at a time; `NodeTable` stacks one or
+more trees for that routing.
 """
 
 from __future__ import annotations
@@ -106,9 +107,74 @@ def _best_split(X, y_codes, idx, feats, n_classes):
     return best_w, best_f, best_t
 
 
+@dataclass(frozen=True)
+class NodeTable:
+    """Trees stacked into one node array, routed level-synchronously.
+
+    Tree t's nodes sit at [roots[t], roots[t] + n_nodes_t), child indices
+    offset by roots[t].  A node steps to children[2 * i + go_left]: its
+    right child, or its left one when the row's feature value is <= the
+    threshold.  Leaves loop to themselves (feature 0, threshold +inf,
+    both children the leaf), so rows that reached a leaf stay put while
+    the deepest tree finishes.  leaf_class is each node's argmax of its
+    value row, the lowest class on ties.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    leaf_class: np.ndarray
+    roots: np.ndarray
+    depth: int                # steps from the roots to the deepest leaf
+
+    @classmethod
+    def stack(cls, trees) -> "NodeTable":
+        sizes = [t.n_nodes for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offset = np.repeat(roots, sizes)
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        left = np.concatenate([t.left for t in trees]) + offset
+        right = np.concatenate([t.right for t in trees]) + offset
+        leaf = feature < 0
+        node = np.arange(feature.size)
+        children = np.stack([np.where(leaf, node, right), np.where(leaf, node, left)], axis=1)
+        feature[leaf] = 0
+        threshold = np.where(leaf, np.inf, np.concatenate([t.threshold for t in trees]))
+        # terminates: DecisionTreeModel only holds children past their parent
+        depth, frontier = 0, roots[~leaf[roots]]
+        while frontier.size:
+            depth += 1
+            frontier = np.concatenate([left[frontier], right[frontier]])
+            frontier = frontier[~leaf[frontier]]
+        return cls(
+            feature=feature,
+            threshold=threshold,
+            children=children.ravel(),
+            leaf_class=np.concatenate([t.value.argmax(axis=1) for t in trees]),
+            roots=roots,
+            depth=depth,
+        )
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """Node reached by every row in every tree, (n_rows, n_trees)."""
+        n, d = X.shape
+        x = X.ravel()  # row r's feature f at r * d + f
+        at = np.arange(n)[:, None] * d
+        node = np.tile(self.roots, (n, 1))
+        for _ in range(self.depth):
+            go_left = x[at + self.feature[node]] <= self.threshold[node]
+            node = self.children[2 * node + go_left]
+        return node
+
+
 @dataclass
 class DecisionTreeModel:
-    """Fitted tree in flat-array form; value rows are class proportions."""
+    """Fitted tree in flat-array form; value rows are class proportions.
+
+    Nodes are in pre-order: every child index is past its parent's, so
+    routing from the root reaches a leaf.  Construction rejects arrays
+    that break this or any other shape rule with ValueError.
+    """
 
     classes: np.ndarray
     n_features: int
@@ -121,6 +187,28 @@ class DecisionTreeModel:
     impurity: np.ndarray
 
     kind = "DecisionTree"
+
+    def __post_init__(self):
+        n = self.feature.shape[0] if self.feature.ndim == 1 else 0
+        per_node = (self.feature, self.threshold, self.left, self.right,
+                    self.n_node_samples, self.impurity)
+        if not n or any(a.shape != (n,) for a in per_node):
+            raise ValueError("tree arrays must be 1-D, of one equal length >= 1")
+        if self.value.shape != (n, self.classes.shape[0]):
+            raise ValueError(f"tree value has shape {self.value.shape}, "
+                             f"want ({n}, {self.classes.shape[0]})")
+        leaf = self.feature == -1
+        if not (np.array_equal(leaf, self.left == -1) and np.array_equal(leaf, self.right == -1)):
+            raise ValueError("tree leaves must have feature, left and right all -1")
+        inner = np.nonzero(~leaf)[0]
+        f = self.feature[inner]
+        if not ((f >= 0) & (f < self.n_features)).all():
+            raise ValueError(f"tree split feature outside [0, {self.n_features})")
+        if not np.isfinite(self.threshold[inner]).all():
+            raise ValueError("tree split threshold is not finite")
+        for child in (self.left[inner], self.right[inner]):
+            if not ((inner < child) & (child < n)).all():
+                raise ValueError("tree child index not after its parent and inside the tree")
 
     @property
     def n_nodes(self) -> int:
@@ -137,16 +225,8 @@ class DecisionTreeModel:
         return X
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for every row (level-synchronous routing)."""
-        X = self._check(X)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = np.nonzero(self.feature[node] >= 0)[0]
-        while active.size:
-            nd = node[active]
-            go_left = X[active, self.feature[nd]] <= self.threshold[nd]
-            node[active] = np.where(go_left, self.left[nd], self.right[nd])
-            active = active[self.feature[node[active]] >= 0]
-        return node
+        """Leaf node index for every row: the one-tree `NodeTable`."""
+        return NodeTable.stack([self]).route(self._check(X))[:, 0]
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Per-class scores = class proportions of the reached leaf."""

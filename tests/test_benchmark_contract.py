@@ -10,14 +10,21 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench
 import tracing  # noqa: E402
 
 from handpass import dataset, dsp  # noqa: E402
+from handpass.learners import forest  # noqa: E402
+
+
+def traced_names():
+    return (dataset.frame_to_features, dsp.to_cfr, dsp.FittedScaler.transform,
+            forest.RandomForestModel.scores)
 
 
 def test_tracer_patches_every_name_and_restores_them():
-    originals = (dataset.frame_to_features, dsp.to_cfr, dsp.FittedScaler.transform)
+    originals = traced_names()
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        assert dataset.frame_to_features is not originals[0]
+        # forest.predict_us_per_row is read off the RandomForestModel.scores span
+        assert all(now is not then for now, then in zip(traced_names(), originals))
     finally:
         tracer.unpatch()
-    assert (dataset.frame_to_features, dsp.to_cfr, dsp.FittedScaler.transform) == originals
+    assert traced_names() == originals

@@ -235,6 +235,42 @@ class TestStorePersistence:
         with pytest.raises(ValueError):
             load_store(path)
 
+    def test_rejects_cyclic_tree(self, auth_env, tmp_path):
+        # an inner node of tree 0 whose children are the root: routing
+        # a window through it would never reach a leaf
+        store, _, _ = auth_env
+        path = tmp_path / "store.json"
+        save_store(store, path)
+        doc = json.loads(path.read_text())
+        tree = doc["model"]["params"]["trees"][0]
+        inner = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+        tree["left"][inner] = tree["right"][inner] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_store(path)
+
+    @pytest.mark.parametrize("field", ["a", "b", "both"])
+    def test_rejects_scaler_of_wrong_width(self, auth_env, tmp_path, field):
+        store, _, _ = auth_env
+        path = tmp_path / "store.json"
+        save_store(store, path)
+        doc = json.loads(path.read_text())
+        for key in ("a", "b") if field == "both" else (field,):
+            doc["scaler"][key].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_store(path)
+
+    def test_rejects_layout_of_wrong_width(self, auth_env, tmp_path):
+        store, _, _ = auth_env
+        path = tmp_path / "store.json"
+        save_store(store, path)
+        doc = json.loads(path.read_text())
+        doc["prune"] = False  # 512 columns against a 468-wide model
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_store(path)
+
 
 def decision(uid=1, verdict="Grant", reason="ok"):
     return AuthDecision(

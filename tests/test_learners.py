@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from handpass import synth
 from handpass.codec import read_capture
 from handpass.dataset import CaptureMeta, build_rows, slice_dataset
+from handpass.dsp import SanitizerConfig, SubcarrierMask, fit_scaler
 from handpass.errors import (
     DegenerateLabels,
     DimensionMismatch,
@@ -14,13 +16,17 @@ from handpass.errors import (
     TooFewSamples,
     UnsupportedModel,
 )
+from handpass.gatekeeper import EnrollmentStore, load_store, save_store
 from handpass.learners import (
     HyperParams,
+    RandomForestModel,
     canonical_kind,
     cross_validate,
     default_hyper,
     feature_importance,
     load_model,
+    model_from_doc,
+    model_to_doc,
     predict,
     predict_scores,
     save_model,
@@ -110,6 +116,39 @@ def onehot_best_split(X, y_codes, idx, feats, n_classes):
     if not np.isfinite(best_w):
         return None
     return best_w, best_f, best_t
+
+
+def per_tree_apply(tree, X):
+    """Reference routing of one tree: rows still at an internal node
+    step to a child until none is left."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    active = np.nonzero(tree.feature[node] >= 0)[0]
+    while active.size:
+        nd = node[active]
+        go_left = X[active, tree.feature[nd]] <= tree.threshold[nd]
+        node[active] = np.where(go_left, tree.left[nd], tree.right[nd])
+        active = active[tree.feature[node[active]] >= 0]
+    return node
+
+
+def tree_depth(tree):
+    """Steps from the root to the deepest leaf (children follow parents)."""
+    depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    for i in np.nonzero(tree.feature >= 0)[0]:
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return int(depth.max())
+
+
+def per_tree_votes(forest, X):
+    """Reference forest scores: route and vote one tree at a time, the
+    vote going to the first maximum of the leaf's value row."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    votes = np.zeros((n, forest.classes.shape[0]))
+    for tree in forest.trees:
+        pred = np.argmax(tree.value[per_tree_apply(tree, X)], axis=1)
+        votes[np.arange(n), pred] += 1.0
+    return votes / len(forest.trees)
 
 
 class TestGini:
@@ -386,6 +425,69 @@ class TestRandomForest:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         model = train("rf", X, np.array([7, 7, 42, 42]), HyperParams(n_trees=3))
         assert set(predict(model, X).tolist()) <= {7, 42}
+
+
+class TestFusedForestMatchesPerTree:
+    """RandomForestModel.scores routes all trees through one stacked node
+    table; it must give the per-tree loop's scores bit for bit."""
+
+    def test_seeded_forests_on_synth_d1(self, golden_d1):
+        X, y = golden_d1
+        rng = np.random.default_rng(60)
+        Q = np.vstack([X, X + 0.05 * rng.normal(size=X.shape)])
+        for seed in (1, 2):
+            model = train("rf", X, y, seed=seed)
+            assert len(model.trees) == 100
+            assert np.array_equal(predict_scores(model, Q), per_tree_votes(model, Q))
+        dt = train("dt", X, y, seed=1)
+        assert np.array_equal(dt.apply(Q), per_tree_apply(dt, Q))
+
+    def test_rows_on_split_thresholds(self):
+        rng = np.random.default_rng(61)
+        X = np.round(rng.normal(size=(90, 3)), 1)
+        y = rng.integers(0, 5, size=90)
+        model = train("rf", X, y, HyperParams(n_trees=30), seed=4)
+        # every query value is some split's threshold on that feature
+        Q = np.empty((200, 3))
+        for j in range(3):
+            pool = np.concatenate([t.threshold[t.feature == j] for t in model.trees])
+            Q[:, j] = rng.choice(pool, size=200)
+        Q[:3] = [[np.nan, 0.0, 0.0], [np.inf, -np.inf, 0.0], [0.0, np.nan, np.inf]]
+        # every row visits the roots: many of them sit exactly on a root split
+        on_root = sum(int((Q[:, t.feature[0]] == t.threshold[0]).sum()) for t in model.trees)
+        assert on_root > 100
+        assert np.array_equal(predict_scores(model, Q), per_tree_votes(model, Q))
+
+    def test_single_leaf_and_uneven_trees(self):
+        rng = np.random.default_rng(62)
+        X, y = blobs(rng, n_per=30, n_classes=5, spread=5.0)
+        stumps = train("rf", X, y, HyperParams(n_trees=5, max_depth=0), seed=2)
+        assert all(t.n_nodes == 1 for t in stumps.trees)
+        deep = train("rf", X, y, HyperParams(n_trees=5, max_features=1), seed=3)
+        shallow = [train("dt", X, y, HyperParams(max_depth=d), seed=d) for d in (1, 2, 4)]
+        mixed = RandomForestModel(
+            classes=deep.classes, trees=stumps.trees[:2] + shallow + deep.trees
+        )
+        depths = [tree_depth(t) for t in mixed.trees]
+        assert depths[:5] == [0, 0, 1, 2, 4] and max(depths) >= 10
+        assert mixed.table.depth == max(depths)
+        Q = np.vstack([X, rng.normal(size=(50, 4)) * 6])
+        for model in (stumps, mixed):
+            assert np.array_equal(predict_scores(model, Q), per_tree_votes(model, Q))
+
+    def test_after_store_round_trip(self, golden_d1, tmp_path):
+        X, y = golden_d1
+        model = train("rf", X, y, seed=5)
+        store = EnrollmentStore(
+            model=model, scaler=fit_scaler("minmax", X), mask=SubcarrierMask(),
+            sanitizer=SanitizerConfig(), roster={int(u): {"enter"} for u in np.unique(y)},
+            packets_per_second=20,
+        )
+        save_store(store, tmp_path / "store.json")
+        back = load_store(tmp_path / "store.json").model
+        rng = np.random.default_rng(63)
+        Q = np.vstack([X, rng.random(size=(100, X.shape[1]))])
+        assert np.array_equal(predict_scores(back, Q), per_tree_votes(model, Q))
 
 
 class TestKnn:
@@ -709,10 +811,72 @@ class TestPersistence:
         X, y = blobs(rng, n_per=5, n_classes=2)
         path = tmp_path / "m.json"
         save_model(train("nb", X, y), path)
-        import json
-
         doc = json.loads(path.read_text())
         doc["version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
+
+
+def _last_inner(t):
+    return max(i for i, f in enumerate(t["feature"]) if f >= 0)
+
+
+def _set(t, name, i, v):
+    t[name][i] = v
+
+
+TREE_CORRUPTIONS = {
+    # an inner node whose children point back at the root: routing loops
+    "cycle": lambda t: (_set(t, "left", _last_inner(t), 0), _set(t, "right", _last_inner(t), 0)),
+    "child-is-self": lambda t: _set(t, "left", 0, 0),
+    "child-past-end": lambda t: _set(t, "right", 0, len(t["feature"])),
+    "leaf-with-child": lambda t: _set(t, "left", len(t["feature"]) - 1, 0),
+    "inner-without-child": lambda t: _set(t, "right", 0, -1),
+    "feature-past-width": lambda t: _set(t, "feature", 0, t["n_features"]),
+    "feature-negative": lambda t: _set(t, "feature", 0, -2),
+    "threshold-nan": lambda t: _set(t, "threshold", 0, float("nan")),
+    "threshold-inf": lambda t: _set(t, "threshold", 0, float("inf")),
+    "short-array": lambda t: t["impurity"].pop(),
+    "value-too-wide": lambda t: [row.append(0.0) for row in t["value"]],
+    "no-nodes": lambda t: t.update({k: [] for k in t if k != "n_features"}),
+}
+
+
+class TestTreeDocumentChecks:
+    """A tree that routing could not walk to a leaf is refused on load."""
+
+    @pytest.fixture(scope="class")
+    def rf_doc(self):
+        rng = np.random.default_rng(48)
+        X, y = blobs(rng, n_per=20, n_classes=3, spread=3.0)
+        doc = model_to_doc(train("rf", X, y, HyperParams(n_trees=4), seed=1))
+        assert all(t["left"][0] > 0 for t in doc["params"]["trees"])
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("name", sorted(TREE_CORRUPTIONS))
+    def test_corrupt_tree_rejected(self, rf_doc, name):
+        for kind in ("RandomForest", "DecisionTree"):
+            doc = json.loads(rf_doc)
+            tree = doc["params"]["trees"][0]
+            TREE_CORRUPTIONS[name](tree)
+            if kind == "DecisionTree":
+                doc["kind"], doc["params"] = kind, tree
+            with pytest.raises(ValueError):
+                model_from_doc(doc)
+
+    def test_trees_of_different_widths_rejected(self, rf_doc):
+        doc = json.loads(rf_doc)
+        doc["params"]["trees"][1]["n_features"] += 1
+        with pytest.raises(ValueError):
+            model_from_doc(doc)
+
+    def test_forest_without_trees_rejected(self, rf_doc):
+        doc = json.loads(rf_doc)
+        doc["params"]["trees"] = []
+        with pytest.raises(ValueError):
+            model_from_doc(doc)
+
+    def test_intact_document_loads(self, rf_doc):
+        model = model_from_doc(json.loads(rf_doc))
+        assert len(model.trees) == 4
