@@ -25,7 +25,7 @@ from . import dataset as ds
 from . import gatekeeper as gk
 from . import synth
 from .codec import read_capture
-from .dsp import SanitizerConfig, fit_scaler
+from .dsp import SanitizerConfig
 from .errors import HandpassError
 from .learners import (
     KINDS,
@@ -125,8 +125,6 @@ def cmd_dataset(args) -> int:
     sliced = ds.slice_dataset(rows, args.slice, rate,
                               right_hand_only=not args.include_left)
     matrix = sliced.rows
-    if args.scaler != "none":
-        matrix.features = fit_scaler(args.scaler, matrix.features).transform(matrix.features)
     ds.write_csv(matrix, args.out)
     print(f"slice {args.slice}: {matrix.n_rows} rows x {matrix.n_columns} columns"
           f" ({dropped} frames dropped) -> {args.out}")
@@ -288,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="indir", required=True)
     sp.add_argument("--slice", required=True, choices=sorted(ds.SLICE_DEFS))
     sp.add_argument("--out", required=True)
-    sp.add_argument("--scaler", choices=["minmax", "zscore", "robust", "none"],
-                    default="none")
     sp.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--include-left", action="store_true",
                     help="keep left-hand captures (default: right hand only)")

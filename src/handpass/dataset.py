@@ -265,18 +265,12 @@ def slice_dataset(
     )
 
 
-def write_csv(data, path) -> None:
-    """Write a FeatureMatrix (or list of FeatureRow) as a headed CSV.
+def write_csv(m: FeatureMatrix, path) -> None:
+    """Write a FeatureMatrix as a headed CSV.
 
     Floats are rendered with repr so a read round-trips to the exact
     same values.
     """
-    if isinstance(data, FeatureMatrix):
-        m = data
-    else:
-        rows = list(data)
-        width = rows[0].features.shape[0] if rows else None
-        m = FeatureMatrix.from_rows(rows, _layout_names(width) or feature_names())
     header = ",".join(m.feature_names + META_COLUMNS)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from .rows import check_rows
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -20,18 +20,25 @@ class GaussianNbModel:
 
     kind = "GaussianNB"
 
+    def __post_init__(self):
+        self.classes = np.asarray(self.classes)
+        self.means = np.asarray(self.means, dtype=np.float64)
+        self.variances = np.asarray(self.variances, dtype=np.float64)
+        self.log_priors = np.asarray(self.log_priors, dtype=np.float64)
+        C = self.classes.shape[0]
+        if self.means.ndim != 2 or self.means.shape[0] != C:
+            raise ValueError(f"GaussianNB means have shape {self.means.shape}, want ({C}, d)")
+        if self.variances.shape != self.means.shape or not (self.variances > 0).all():
+            raise ValueError("GaussianNB variances must be > 0 and shaped like the means")
+        if self.log_priors.shape != (C,):
+            raise ValueError(f"GaussianNB needs one log prior per class, got {self.log_priors.shape}")
+
     @property
     def n_features(self) -> int:
         return self.means.shape[1]
 
     def log_joint(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if X.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"{X.shape[1]} features, model trained on {self.n_features}"
-            )
+        X = check_rows(X, self.n_features)
         const = -0.5 * (_LOG_2PI + np.log(self.variances)).sum(axis=1)
         out = np.empty((X.shape[0], self.classes.shape[0]))
         for lo in range(0, X.shape[0], 256):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rows import check_rows
 from .tree import NodeTable, grow_tree
 
 
@@ -27,6 +28,7 @@ class RandomForestModel:
     kind = "RandomForest"
 
     def __post_init__(self):
+        self.classes = np.asarray(self.classes)
         if not self.trees:
             raise ValueError("a forest needs at least one tree")
         shapes = {(t.n_features, t.value.shape[1]) for t in self.trees}
@@ -40,7 +42,7 @@ class RandomForestModel:
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Vote fractions: share of trees predicting each class."""
-        X = self.trees[0]._check(X)
+        X = check_rows(X, self.n_features)
         n, C = X.shape[0], self.classes.shape[0]
         voted = np.arange(n)[:, None] * C + self.table.leaf_class[self.table.route(X)]
         votes = np.bincount(voted.ravel(), minlength=n * C)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from .rows import check_rows
 
 _BLOCK = 512  # test rows per distance block
 
@@ -20,18 +20,27 @@ class KnnModel:
 
     kind = "KNN"
 
+    def __post_init__(self):
+        self.classes = np.asarray(self.classes)
+        self.train_x = np.asarray(self.train_x, dtype=np.float64)
+        self.train_codes = np.asarray(self.train_codes, dtype=np.int64)
+        n = self.train_x.shape[0] if self.train_x.ndim == 2 else 0
+        if not n or self.train_codes.shape != (n,):
+            raise ValueError("KNN needs a 2-D train_x of >= 1 row and one train code per row")
+        C = self.classes.shape[0]
+        if not ((self.train_codes >= 0) & (self.train_codes < C)).all():
+            raise ValueError(f"KNN train code outside [0, {C})")
+        k = int(self.k)
+        if k != self.k or k < 1:
+            raise ValueError(f"KNN k must be an integer >= 1, got {self.k!r}")
+        self.k = k
+
     @property
     def n_features(self) -> int:
         return self.train_x.shape[1]
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if X.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"{X.shape[1]} features, model trained on {self.n_features}"
-            )
+        X = check_rows(X, self.n_features)
         k = min(self.k, self.train_x.shape[0])
         C = self.classes.shape[0]
         weights = 1.0 / np.arange(1, k + 1)

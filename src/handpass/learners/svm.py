@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from .rows import check_rows
 
 
 @dataclass
@@ -25,18 +25,19 @@ class LinearSvmModel:
 
     kind = "LinearSVM"
 
+    def __post_init__(self):
+        self.classes = np.asarray(self.classes)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        C = self.classes.shape[0]
+        if self.weights.ndim != 2 or self.weights.shape[0] != C or self.weights.shape[1] < 1:
+            raise ValueError(f"LinearSVM weights have shape {self.weights.shape}, want ({C}, d+1)")
+
     @property
     def n_features(self) -> int:
         return self.weights.shape[1] - 1
 
     def margins(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if X.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"{X.shape[1]} features, model trained on {self.n_features}"
-            )
+        X = check_rows(X, self.n_features)
         return X @ self.weights[:, :-1].T + self.weights[:, -1]
 
     def scores(self, X: np.ndarray) -> np.ndarray:

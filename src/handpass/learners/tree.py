@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from .rows import check_rows
 
 # Split search walks features in chunks to bound its (rows x chunk)
 # working arrays; the chunking also fixes which of several equal-impurity
@@ -172,8 +172,9 @@ class DecisionTreeModel:
     """Fitted tree in flat-array form; value rows are class proportions.
 
     Nodes are in pre-order: every child index is past its parent's, so
-    routing from the root reaches a leaf.  Construction rejects arrays
-    that break this or any other shape rule with ValueError.
+    routing from the root reaches a leaf.  Construction coerces the
+    arrays to their dtypes and rejects arrays that break this or any
+    other shape rule with ValueError.
     """
 
     classes: np.ndarray
@@ -189,6 +190,15 @@ class DecisionTreeModel:
     kind = "DecisionTree"
 
     def __post_init__(self):
+        self.classes = np.asarray(self.classes)
+        self.n_features = int(self.n_features)
+        self.feature = np.asarray(self.feature, dtype=np.int32)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.left = np.asarray(self.left, dtype=np.int32)
+        self.right = np.asarray(self.right, dtype=np.int32)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        self.n_node_samples = np.asarray(self.n_node_samples, dtype=np.int64)
+        self.impurity = np.asarray(self.impurity, dtype=np.float64)
         n = self.feature.shape[0] if self.feature.ndim == 1 else 0
         per_node = (self.feature, self.threshold, self.left, self.right,
                     self.n_node_samples, self.impurity)
@@ -214,19 +224,9 @@ class DecisionTreeModel:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if X.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"{X.shape[1]} features, model trained on {self.n_features}"
-            )
-        return X
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node index for every row: the one-tree `NodeTable`."""
-        return NodeTable.stack([self]).route(self._check(X))[:, 0]
+        return NodeTable.stack([self]).route(check_rows(X, self.n_features))[:, 0]
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Per-class scores = class proportions of the reached leaf."""
@@ -284,11 +284,11 @@ def grow_tree(X, y_codes, n_classes, classes, hyper, rng) -> DecisionTreeModel:
     return DecisionTreeModel(
         classes=classes,
         n_features=d,
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-        n_node_samples=np.array(n_samples, dtype=np.int64),
-        impurity=np.array(impurity, dtype=np.float64),
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        value=value,
+        n_node_samples=n_samples,
+        impurity=impurity,
     )

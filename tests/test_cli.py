@@ -131,15 +131,13 @@ class TestDataset:
         assert code == 0
         assert read_csv(out).n_columns == 516
 
-    def test_scaler_bounds_features(self, clean_corpus, tmp_path, capsys):
-        out = str(tmp_path / "scaled.csv")
-        code, _, _ = run(
-            capsys, "dataset", "--in", clean_corpus, "--slice", "D1",
-            "--out", out, "--scaler", "minmax",
-        )
-        assert code == 0
-        feats = read_csv(out).features
-        assert feats.min() >= 0.0 and feats.max() <= 1.0
+    def test_scaler_flag_removed(self, clean_corpus, tmp_path):
+        # scaling belongs to crossval (--scaler) and enroll, which fit it
+        # on the rows they train on
+        with pytest.raises(SystemExit) as exc:
+            main(["dataset", "--in", clean_corpus, "--slice", "D1",
+                  "--out", str(tmp_path / "scaled.csv"), "--scaler", "minmax"])
+        assert exc.value.code == 2
 
 
 class TestCrossval:

@@ -880,3 +880,121 @@ class TestTreeDocumentChecks:
     def test_intact_document_loads(self, rf_doc):
         model = model_from_doc(json.loads(rf_doc))
         assert len(model.trees) == 4
+
+
+# sha256 of json.dumps(model_to_doc(model)), recorded from the per-kind
+# writer that spelled out each kind's params by hand
+DOC_DIGESTS = {
+    "dt": "28ab174b717bb4bdf0a2da3f191ba638060647aa6268f20a58c32658a8138733",
+    "rf": "933dbed9f398a9a57556ffefb047e98f4c238d12c297ce32634c365b80546813",
+    "knn": "8a34473b5cefaf063eca4dd8a49706b2feb9b417dcd8d1414893876ac126d721",
+    "nb": "3d65af3e1e93513a04fca64cc490c71a1ab85c9ff9f7f89aafd6f3a5e0dcecac",
+    "svm": "f98dbd1157597c6a54c1a8d2037542dd343a3accb33fdfa79658cf8939957d45",
+}
+
+
+class TestDocumentGolden:
+    """Model documents stay byte-identical, not just equal in what they predict."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_document_bytes(self, kind):
+        rng = np.random.default_rng(49)
+        X, y = blobs(rng, n_per=15, n_classes=4, spread=1.5)
+        hyper = HyperParams(n_trees=5) if kind == "rf" else None
+        doc = json.dumps(model_to_doc(train(kind, X, y, hyper, seed=9)))
+        assert hashlib.sha256(doc.encode()).hexdigest() == DOC_DIGESTS[kind]
+
+
+def _halve(name):
+    return lambda p: p.update({name: p[name][: len(p[name]) // 2]})
+
+
+# (kind, corruption of the document's params); every one loaded before
+# the models checked their own fields
+PARAM_CORRUPTIONS = {
+    "svm-2-of-4-weight-rows": ("svm", lambda p: p.update(weights=p["weights"][:2])),
+    "svm-flat-weights": ("svm", lambda p: p.update(weights=sum(p["weights"], []))),
+    "knn-codes-cut-in-half": ("knn", _halve("train_codes")),
+    "knn-code-9": ("knn", lambda p: _set(p, "train_codes", 0, 9)),
+    "knn-code-negative": ("knn", lambda p: _set(p, "train_codes", 0, -1)),
+    "knn-codes-nested": ("knn", lambda p: p.update(train_codes=[[c] for c in p["train_codes"]])),
+    "knn-flat-train-x": ("knn", lambda p: p.update(train_x=sum(p["train_x"], []))),
+    "knn-k-0": ("knn", lambda p: p.update(k=0)),
+    "knn-k-null": ("knn", lambda p: p.update(k=None)),
+    "tree-feature-past-int32": ("rf", lambda p: _set(p["trees"][0], "feature", 0, 2**40)),
+    "forest-trees-not-a-list": ("rf", lambda p: p.update(trees=3)),
+    "nb-variance-zero": ("nb", lambda p: _set(p["variances"], 1, 2, 0.0)),
+    "nb-variance-negative": ("nb", lambda p: _set(p["variances"], 0, 0, -1.0)),
+    "nb-variance-nan": ("nb", lambda p: _set(p["variances"], 3, 1, float("nan"))),
+    "nb-means-row-missing": ("nb", lambda p: p["means"].pop()),
+    "nb-variances-narrower": ("nb", lambda p: [row.pop() for row in p["variances"]]),
+    "nb-prior-missing": ("nb", lambda p: p["log_priors"].pop()),
+    "unknown-param": ("svm", lambda p: p.update(bias=0.0)),
+    "missing-param": ("knn", lambda p: p.pop("k")),
+    "nested-tree-unknown-param": ("rf", lambda p: p["trees"][0].update(depth=3)),
+}
+
+
+class TestModelDocumentChecks:
+    """Every kind checks its own fields, so an inconsistent document is
+    refused on load, not at the first predict."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        rng = np.random.default_rng(50)
+        X, y = blobs(rng, n_per=10, n_classes=4, d=468, spread=1.5)
+        models = {kind: train(kind, X, y, HyperParams(n_trees=3, svm_epochs=20), seed=2)
+                  for kind in ("rf", "knn", "nb", "svm")}
+        store = EnrollmentStore(
+            model=models["svm"], scaler=fit_scaler("minmax", X), mask=SubcarrierMask(),
+            sanitizer=SanitizerConfig(), roster={int(u): {"enter"} for u in np.unique(y)},
+            packets_per_second=20,
+        )
+        return {k: json.dumps(model_to_doc(m)) for k, m in models.items()}, store
+
+    @pytest.mark.parametrize("name", sorted(PARAM_CORRUPTIONS))
+    def test_corrupt_params_rejected(self, docs, name):
+        kind, corrupt = PARAM_CORRUPTIONS[name]
+        doc = json.loads(docs[0][kind])
+        corrupt(doc["params"])
+        with pytest.raises(ValueError):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("name", sorted(PARAM_CORRUPTIONS))
+    def test_corrupt_store_rejected(self, docs, name, tmp_path):
+        kind, corrupt = PARAM_CORRUPTIONS[name]
+        path = tmp_path / "store.json"
+        save_store(docs[1], path)
+        store_doc = json.loads(path.read_text())
+        store_doc["model"] = json.loads(docs[0][kind])
+        corrupt(store_doc["model"]["params"])
+        path.write_text(json.dumps(store_doc))
+        with pytest.raises(ValueError):
+            load_store(path)
+
+    @pytest.mark.parametrize("kind", ("rf", "knn", "nb", "svm"))
+    def test_intact_document_loads(self, docs, kind, tmp_path):
+        doc = json.loads(docs[0][kind])
+        assert model_from_doc(doc).n_features == 468
+        path = tmp_path / "store.json"
+        save_store(docs[1], path)
+        store_doc = json.loads(path.read_text())
+        store_doc["model"] = doc
+        path.write_text(json.dumps(store_doc))
+        assert load_store(path).model.kind == doc["kind"]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.update(kind="Perceptron"),
+        lambda d: d.pop("kind"),
+        lambda d: d.pop("classes"),
+        lambda d: d.pop("params"),
+    ], ids=["unknown-kind", "no-kind", "no-classes", "no-params"])
+    def test_bad_kind_or_missing_key_rejected(self, docs, corrupt):
+        doc = json.loads(docs[0]["svm"])
+        corrupt(doc)
+        with pytest.raises(ValueError):
+            model_from_doc(doc)
+
+    def test_unpersistable_model_refused(self):
+        with pytest.raises(UnsupportedModel):
+            model_to_doc(object())
