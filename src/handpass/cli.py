@@ -149,6 +149,8 @@ def cmd_crossval(args) -> int:
                 seed=args.seed, scaler=None if args.scaler == "none" else args.scaler,
                 per_fold_scaler=args.per_fold_scaler,
             )
+            log.info("%s %s: fit %.3f s, predict %.3f s over %d folds",
+                     slice_name, KINDS[kind], rep.fit_s, rep.predict_s, args.k)
             table.append([
                 KINDS[kind],
                 f"{rep.mean_accuracy:.4f}",
@@ -216,8 +218,16 @@ def cmd_enroll(args) -> int:
     return 0
 
 
+def _load_store(args) -> gk.EnrollmentStore:
+    path = _store_path(args)
+    try:
+        return gk.load_store(path)
+    except ValueError as exc:  # a document that loading refuses
+        raise HandpassError(f"store {path}: {exc}") from exc
+
+
 def cmd_auth(args) -> int:
-    store = gk.load_store(_store_path(args))
+    store = _load_store(args)
     capture = read_capture(args.capture)
     audit = gk.AuditLog(args.log) if args.log else None
     decision = gk.authenticate(
@@ -243,7 +253,7 @@ def cmd_auth(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    store = gk.load_store(_store_path(args))
+    store = _load_store(args)
     audit = gk.AuditLog(args.log) if args.log else None
     server = gk.serve(store, host=args.host, port=args.port, log=audit)
     host, port = server.server_address[:2]
@@ -263,9 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_seed(sp):
+    def add_common(sp):
         sp.add_argument("--seed", type=int, default=_env_seed(),
                         help="RNG seed (env HANDPASS_SEED, default 42)")
+        # -v works after the command too; SUPPRESS keeps one given before it
+        sp.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,
+                        help="log progress and timings")
 
     sp = sub.add_parser("synth", help="generate synthetic captures")
     sp.add_argument("--out", required=True)
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--offset-range", type=float, default=float(np.pi))
     sp.add_argument("--gain-jitter", type=float, default=0.2)
     sp.add_argument("--quant-scale", type=float, default=1000.0)
-    add_seed(sp)
+    add_common(sp)
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("dataset", help="build a slice CSV from captures")
@@ -293,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="phase-detrend ridge weight")
     sp.add_argument("--rate", type=int, default=None,
                     help="packets per second (default: manifest value)")
-    add_seed(sp)
+    add_common(sp)
     sp.set_defaults(func=cmd_dataset)
 
     sp = sub.add_parser("crossval", help="k-fold cross-validation")
@@ -309,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--knn-k", type=int, default=None)
     sp.add_argument("--svm-epochs", type=int, default=None)
     sp.add_argument("--report", default=None, help="per-fold CSV output")
-    add_seed(sp)
+    add_common(sp)
     sp.set_defaults(func=cmd_crossval)
 
     sp = sub.add_parser("select", help="rank subcarriers by importance")
@@ -319,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trees", type=int, default=None)
     sp.add_argument("--max-depth", type=int, default=None)
     sp.add_argument("--report", default=None)
-    add_seed(sp)
+    add_common(sp)
     sp.set_defaults(func=cmd_select)
 
     sp = sub.add_parser("enroll", help="train + save an enrollment store")
@@ -333,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-depth", type=int, default=None)
     sp.add_argument("--knn-k", type=int, default=None)
     sp.add_argument("--svm-epochs", type=int, default=None)
-    add_seed(sp)
+    add_common(sp)
     sp.set_defaults(func=cmd_enroll)
 
     sp = sub.add_parser("auth", help="authenticate one capture")
@@ -343,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=float, default=gk.DEFAULT_THRESHOLD)
     sp.add_argument("--permission", default=gk.DEFAULT_PERMISSION)
     sp.add_argument("--log", default=None, help="audit log path")
-    add_seed(sp)
+    add_common(sp)
     sp.set_defaults(func=cmd_auth)
 
     sp = sub.add_parser("serve", help="run the authentication service")
@@ -351,16 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--host", default="127.0.0.1")
     sp.add_argument("--port", type=int, default=5501)
     sp.add_argument("--log", default=None)
-    add_seed(sp)
+    add_common(sp)
     sp.set_defaults(func=cmd_serve)
 
-    p.add_argument("-v", "--verbose", action="count", default=0)
+    p.add_argument("-v", "--verbose", action="count", default=0,
+                   help="log progress and timings")
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "per_fold_scaler", False) and args.scaler == "none":
+        parser.error("--per-fold-scaler needs a --scaler to refit in each fold")
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(message)s",

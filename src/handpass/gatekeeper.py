@@ -246,32 +246,39 @@ def save_store(store: EnrollmentStore, path) -> None:
 
 
 def load_store(path) -> EnrollmentStore:
+    """Read a store document; one that is malformed or inconsistent with
+    itself raises ValueError here rather than at the first request."""
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    if doc.get("format") != STORE_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
         raise ValueError(f"not a {STORE_FORMAT} document")
     if doc.get("version") != STORE_VERSION:
         raise ValueError(f"unsupported store version {doc.get('version')!r}")
-    return EnrollmentStore(
-        model=model_from_doc(doc["model"]),
-        scaler=FittedScaler(
-            kind=doc["scaler"]["kind"],
-            a=np.array(doc["scaler"]["a"], dtype=np.float64),
-            b=np.array(doc["scaler"]["b"], dtype=np.float64),
-        ),
-        mask=SubcarrierMask(
-            null_indices=frozenset(doc["mask"]["null"]),
-            pilot_indices=frozenset(doc["mask"]["pilot"]),
-        ),
-        sanitizer=SanitizerConfig(
-            lam=doc["sanitizer"]["lam"], unwrap=doc["sanitizer"]["unwrap"]
-        ),
-        roster={int(u): set(perms) for u, perms in doc["roster"].items()},
-        packets_per_second=doc["packets_per_second"],
-        prune=doc["prune"],
-        version=doc["version"],
-        created_at=doc.get("created_at", ""),
-    )
+    try:
+        return EnrollmentStore(
+            model=model_from_doc(doc["model"]),
+            scaler=FittedScaler(
+                kind=doc["scaler"]["kind"],
+                a=np.array(doc["scaler"]["a"], dtype=np.float64),
+                b=np.array(doc["scaler"]["b"], dtype=np.float64),
+            ),
+            mask=SubcarrierMask(
+                null_indices=frozenset(doc["mask"]["null"]),
+                pilot_indices=frozenset(doc["mask"]["pilot"]),
+            ),
+            sanitizer=SanitizerConfig(
+                lam=doc["sanitizer"]["lam"], unwrap=doc["sanitizer"]["unwrap"]
+            ),
+            roster={int(u): set(perms) for u, perms in doc["roster"].items()},
+            packets_per_second=doc["packets_per_second"],
+            prune=doc["prune"],
+            version=doc["version"],
+            created_at=doc.get("created_at", ""),
+        )
+    except KeyError as exc:
+        raise ValueError(f"store document lacks {exc}") from exc
+    except (TypeError, AttributeError) as exc:  # a field of the wrong type
+        raise ValueError(f"malformed store document: {exc}") from exc
 
 
 def _error_code(exc: Exception) -> str:
@@ -340,9 +347,12 @@ class _AuthHandler(socketserver.StreamRequestHandler):
 
 
 def _inline_frame(pairs):
-    csi = np.asarray(pairs, dtype=np.int64)
-    if csi.shape != (256, 2):
-        raise ValueError(f"inline frame must be 256 [re, im] pairs, got {csi.shape}")
+    # numpy infers the dtype, so 1.5 or "7" anywhere in the frame
+    # leaves it non-integer instead of being cast to an integer
+    csi = np.asarray(pairs)
+    if csi.shape != (256, 2) or csi.dtype.kind not in "iu":
+        raise ValueError("inline frame must be 256 [re, im] pairs of integers,"
+                         f" got shape {csi.shape} of {csi.dtype}")
     if csi.max() > 32767 or csi.min() < -32768:
         raise ValueError("inline frame values exceed int16 range")
     return CsiFrame(

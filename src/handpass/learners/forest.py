@@ -7,6 +7,24 @@ that loop to themselves, so one gather-compare-step per level moves all
 (rows x trees) entries and the deepest tree sets the number of levels.
 The votes are one bincount over (row, leaf class).  `trees` stays the
 model's content; the table is derived from it and never stored.
+
+Fitting grows all trees in lockstep (`tree.grow_trees`): each step pops
+one node from every live tree's DFS stack, and the splits those nodes
+need go through one batched search over the shared training matrix.
+The trees come out bit-identical to trees grown one at a time, because
+nothing a tree computes depends on its neighbours:
+
+- tree t draws its bootstrap sample and every node's feature subset
+  from its own generator, default_rng((seed, t)), and nothing else
+  draws from it;
+- it pops its own nodes in its own DFS order, so it draws the feature
+  subsets in the order, and emits its nodes in the pre-order, of a
+  tree grown alone;
+- a node's split depends only on its rows and features: the batched
+  search gives each node the split it gives the node searched alone,
+  ties included (see `tree.best_splits`);
+- a bootstrap sample is a row index array into X rather than a copy of
+  the rows, which changes no value, count or multiplicity a split sees.
 """
 
 from __future__ import annotations
@@ -16,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rows import check_rows
-from .tree import NodeTable, grow_tree
+from .tree import NodeTable, SplitData, grow_trees
 
 
 @dataclass
@@ -51,15 +69,13 @@ class RandomForestModel:
 
 def grow_forest(X, y_codes, n_classes, classes, hyper, seed) -> RandomForestModel:
     """Each tree gets its own (seed, index) substream covering both its
-    bootstrap draw and its per-node feature sampling, so trees can be
-    grown in any order (or in parallel) with identical results."""
+    bootstrap draw and its per-node feature sampling, so every tree is
+    the same however the trees are grown: one after another, in lockstep
+    (as here, see the module docstring), or in parallel."""
     n = X.shape[0]
-    trees = []
+    starts = []
     for t in range(hyper.n_trees):
         rng = np.random.default_rng((seed, t))
-        if hyper.bootstrap:
-            sample = rng.integers(0, n, size=n)
-            trees.append(grow_tree(X[sample], y_codes[sample], n_classes, classes, hyper, rng))
-        else:
-            trees.append(grow_tree(X, y_codes, n_classes, classes, hyper, rng))
+        starts.append((rng.integers(0, n, size=n) if hyper.bootstrap else np.arange(n), rng))
+    trees = grow_trees(SplitData(X, y_codes, n_classes), classes, hyper, starts)
     return RandomForestModel(classes=classes, trees=trees)

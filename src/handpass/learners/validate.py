@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,8 @@ class CvReport:
     fold_recall: list = field(default_factory=list)
     fold_f1: list = field(default_factory=list)
     confusion: np.ndarray = None  # summed over folds
+    fit_s: float = 0.0            # wall time of train, summed over folds
+    predict_s: float = 0.0        # wall time of predict, summed over folds
 
     @property
     def mean_accuracy(self) -> float:
@@ -132,8 +135,13 @@ def cross_validate(
             fitted = fit_scaler(scaler, Xtr)
             Xtr = fitted.transform(Xtr)
             Xte = fitted.transform(Xte)
+        start = time.perf_counter()
         model = train(kind, Xtr, ytr, hyper, seed)
-        cm = confusion_matrix(yte, predict(model, Xte), classes)
+        trained = time.perf_counter()
+        predicted = predict(model, Xte)
+        report.fit_s += trained - start
+        report.predict_s += time.perf_counter() - trained
+        cm = confusion_matrix(yte, predicted, classes)
         m = metrics_from_confusion(cm)
         report.fold_accuracy.append(m["accuracy"])
         report.fold_precision.append(m["precision"])

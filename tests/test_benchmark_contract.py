@@ -10,12 +10,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench
 import tracing  # noqa: E402
 
 from handpass import dataset, dsp  # noqa: E402
-from handpass.learners import forest  # noqa: E402
+from handpass.learners import forest, tree  # noqa: E402
 
 
 def traced_names():
     return (dataset.frame_to_features, dsp.to_cfr, dsp.FittedScaler.transform,
-            forest.RandomForestModel.scores)
+            forest.RandomForestModel.scores, tree.grow_tree)
 
 
 def test_tracer_patches_every_name_and_restores_them():
@@ -23,7 +23,8 @@ def test_tracer_patches_every_name_and_restores_them():
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        # forest.predict_us_per_row is read off the RandomForestModel.scores span
+        # forest.predict_us_per_row is read off the RandomForestModel.scores span,
+        # tree.nodes and tree.fit_ms_per_node off the grow_tree spans
         assert all(now is not then for now, then in zip(traced_names(), originals))
     finally:
         tracer.unpatch()

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -164,6 +165,28 @@ class TestCrossval:
         assert len(lines) == 1 + 5 * 3  # five models x three folds
         assert all(line.startswith("D1,") for line in lines[1:])
 
+    @pytest.mark.parametrize("before", [True, False])
+    def test_verbose_logs_fit_and_predict_seconds(self, d1_csv, capsys, caplog, before):
+        caplog.set_level(logging.INFO, logger="handpass")
+        argv = ["crossval", "--data", d1_csv, "--model", "all", "--trees", "3", "--k", "3"]
+        code, _, _ = run(capsys, *(["-v"] + argv if before else argv + ["-v"]))
+        assert code == 0
+        timed = [r.getMessage() for r in caplog.records if "over 3 folds" in r.getMessage()]
+        names = ("RandomForest", "DecisionTree", "KNN", "GaussianNB", "LinearSVM")
+        assert [line.split(":")[0] for line in timed] == [f"D1 {n}" for n in names]
+        assert all(" s, predict " in line for line in timed)
+
+    def test_per_fold_scaler_needs_a_scaler(self, d1_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crossval", "--data", d1_csv, "--model", "nb", "--per-fold-scaler"])
+        assert exc.value.code == 2
+        assert "--per-fold-scaler needs a --scaler" in capsys.readouterr().err
+        code, _, _ = run(
+            capsys, "crossval", "--data", d1_csv, "--model", "nb", "--k", "3",
+            "--scaler", "minmax", "--per-fold-scaler",
+        )
+        assert code == 0
+
     def test_table_layout(self, d1_csv, capsys):
         code, out, _ = run(
             capsys, "crossval", "--data", d1_csv, "--model", "nb", "--k", "3",
@@ -264,3 +287,31 @@ class TestEnrollAuth:
         )
         assert code == 1  # 20 rows per user is under the enrollment minimum
         assert "error:" in err
+
+
+class TestRefusedStore:
+    """A store that loading refuses is a domain error (exit 1 with an
+    error line) for every command that loads one, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["auth", "serve"])
+    @pytest.mark.parametrize("damage", ["child-is-root", "no-model"])
+    def test_refused_store_is_an_error(self, enroll_env, capsys, tmp_path, command, damage):
+        corpus, csv, _ = enroll_env
+        store = str(tmp_path / "store.json")
+        assert main(["enroll", "--data", csv, "--store", store, "--rate", "20",
+                     "--trees", "3", "--seed", "2"]) == 0
+        with open(store) as fh:
+            doc = json.load(fh)
+        if damage == "child-is-root":
+            doc["model"]["params"]["trees"][0]["left"][0] = 0
+        else:
+            del doc["model"]
+        with open(store, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        probe = os.path.join(corpus, "user_02", "Right", "capture_1.pcap")
+        rest = ["--capture", probe] if command == "auth" else ["--port", "0"]
+        code, out, err = run(capsys, command, "--store", store, *rest)
+        assert code == 1
+        assert err.startswith(f"error: store {store}: ")
+        assert "serving" not in out and "Grant" not in out

@@ -443,6 +443,22 @@ class TestServer:
         assert reply["ok"] is False
         assert reply["error"]["code"] == "bad-request"
 
+    def test_non_integer_inline_samples(self, auth_env):
+        store, probes, _ = auth_env
+        frames = [f.csi.tolist() for f in probes[1][:20]]
+        requests = []
+        for sample in (1.5, 2.0, "7"):
+            damaged = [[pair[:] for pair in frame] for frame in frames]
+            damaged[3][10][0] = sample
+            requests.append({"op": "authenticate", "frames": damaged})
+        with running(store) as addr:
+            *refused, intact = ask(addr, *requests, {"op": "authenticate", "frames": frames})
+        for reply in refused:
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "bad-request"
+            assert "integers" in reply["error"]["message"]
+        assert intact["ok"] is True
+
     def test_threshold_override_and_logging(self, auth_env, tmp_path):
         store, probes, _ = auth_env
         log = AuditLog(tmp_path / "server-audit.jsonl")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -35,7 +36,8 @@ from handpass.learners import (
     train,
 )
 from handpass.learners.base import MODEL_CLASSES
-from handpass.learners.tree import _best_split, gini, resolve_max_features
+from handpass.learners import tree as tree_module
+from handpass.learners.tree import SplitData, best_splits, gini, grow_tree, resolve_max_features
 from handpass.learners.validate import confusion_matrix, metrics_from_confusion
 
 ALL_KINDS = ("dt", "rf", "knn", "nb", "svm")
@@ -295,6 +297,13 @@ class TestDecisionTree:
             predict(model, np.ones((2, 3)))
 
 
+def split_one(X, y_codes, idx, feats, n_classes):
+    """The batched split search on a batch of one node."""
+    found = best_splits(SplitData(X, y_codes, n_classes), [(idx, feats)])
+    assert len(found) == 1
+    return found[0]
+
+
 class TestSplitSearch:
     def test_matches_onehot_reference_on_random_nodes(self):
         rng = np.random.default_rng(31)
@@ -309,7 +318,7 @@ class TestSplitSearch:
             idx = rng.choice(240, size=n, replace=False)
             feats = np.sort(rng.choice(468, size=m, replace=False))
             want = onehot_best_split(X, y, idx, feats, n_classes)
-            assert _best_split(X, y, idx, feats, n_classes) == want, f"case {case}"
+            assert split_one(X, y, idx, feats, n_classes) == want, f"case {case}"
         assert (widths > 64).sum() > 100
 
     def test_equal_splits_in_later_chunks_lose(self):
@@ -323,14 +332,63 @@ class TestSplitSearch:
         X[:, 100] = c    # chunk 1, cut after row 25
         X[:, 150] = c    # chunk 2, a duplicate of column 100
         idx, feats = np.arange(y.size), np.arange(200)
-        got = _best_split(X, y, idx, feats, 3)
+        got = split_one(X, y, idx, feats, 3)
         assert got == onehot_best_split(X, y, idx, feats, 3)
         # one argmin over all features would take column 100's earlier cut
         assert got[0] == 30 - 500 / 30 and got[1] == 10
         # without column 10 the duplicates tie; the earlier chunk wins
-        got = _best_split(X, y, idx, feats[feats != 10], 3)
+        got = split_one(X, y, idx, feats[feats != 10], 3)
         assert got == onehot_best_split(X, y, idx, feats[feats != 10], 3)
         assert got[1] == 100
+
+    @pytest.mark.parametrize("m, sizes, decimals, n_classes, some_alone", [
+        (22, (2, 30), 1, 20, False),     # forest-like nodes: many per batch, ties
+        (22, (2, 240), 3, 2, False),     # mixed sizes
+        (100, (2, 700), 1, 5, True),     # two feature chunks; the largest nodes go alone
+        (1, (2, 12), 2, 3, False),       # a single feature
+    ])
+    def test_batch_matches_onehot_reference(self, m, sizes, decimals, n_classes, some_alone):
+        rng = np.random.default_rng(33)
+        X = np.round(rng.normal(size=(240, 468)), decimals)
+        X[:, 5] = 1.5                           # a constant column
+        y = rng.integers(0, n_classes, size=240)
+        data = SplitData(X, y, n_classes)
+        nodes = []
+        for k in range(150):
+            n = int(rng.integers(*sizes, endpoint=True))
+            # half the nodes repeat rows, as a bootstrap sample does
+            idx = rng.choice(240, size=n, replace=bool(k % 2) or n > 240)
+            feats = np.sort(rng.choice(468, size=m, replace=False))
+            if k % 7 == 0:
+                feats[0] = 5
+                feats.sort()
+            nodes.append((idx, feats))
+        cells = [idx.size * min(m, 64) for idx, _ in nodes]
+        assert (max(cells) > tree_module._BATCH_CELLS) == some_alone
+        want = [onehot_best_split(X, y, idx, feats, n_classes) for idx, feats in nodes]
+        assert best_splits(data, nodes) == want
+
+    def test_batch_past_the_uint16_key_range(self):
+        # 300 nodes x 240 ranks: the (node, rank) keys do not fit 16 bits,
+        # while all the nodes' cells still make one batch
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(240, 3))
+        y = rng.integers(0, 4, size=240)
+        data = SplitData(X, y, 4)
+        nodes = [(rng.choice(240, size=int(rng.integers(2, 20)), replace=True),
+                  np.array([int(rng.integers(0, 3))])) for _ in range(300)]
+        assert data.n_ranks * len(nodes) > 1 << 16
+        assert sum(idx.size for idx, _ in nodes) <= tree_module._BATCH_CELLS
+        want = [onehot_best_split(X, y, idx, feats, 4) for idx, feats in nodes]
+        assert best_splits(data, nodes) == want
+
+    def test_nodes_of_one_row_have_no_split(self):
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.array([0, 1, 0, 1, 0, 1])
+        nodes = [(np.array([3]), np.arange(2)), (np.arange(6), np.arange(2))]
+        got = best_splits(SplitData(X, y, 2), nodes)
+        assert got[0] is None
+        assert got[1] == onehot_best_split(X, y, np.arange(6), np.arange(2), 2)
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_node_samples", "impurity")
@@ -488,6 +546,71 @@ class TestFusedForestMatchesPerTree:
         rng = np.random.default_rng(63)
         Q = np.vstack([X, rng.random(size=(100, X.shape[1]))])
         assert np.array_equal(predict_scores(back, Q), per_tree_votes(model, Q))
+
+
+def per_tree_forest(X, y, hyper, seed):
+    """Reference forest: one tree after another, each grown alone on its
+    own bootstrap copy of X, as the forest was grown before lockstep."""
+    classes = np.unique(y)
+    codes = np.searchsorted(classes, y)
+    n, C = X.shape[0], classes.shape[0]
+    trees = []
+    for t in range(hyper.n_trees):
+        rng = np.random.default_rng((seed, t))
+        if hyper.bootstrap:
+            sample = rng.integers(0, n, size=n)
+            trees.append(grow_tree(X[sample], codes[sample], C, classes, hyper, rng))
+        else:
+            trees.append(grow_tree(X, codes, C, classes, hyper, rng))
+    return trees
+
+
+class TestLockstepForestMatchesPerTree:
+    """grow_forest grows all trees in lockstep through batched split
+    searches; every tree must be the one grown alone, bit for bit."""
+
+    @staticmethod
+    def data(n_classes, rows=90, width=30, seed=70):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, width))
+        X[:, 3] = 0.25                          # constant
+        X[:, 7] = np.round(X[:, 7])             # a few values, heavily tied
+        X[:, 8:12] = np.round(X[:, 8:12], 1)
+        y = rng.integers(0, n_classes, size=rows)
+        y[:n_classes] = np.arange(n_classes)
+        return X, y
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"bootstrap": False},
+        {"max_features": 5},
+        {"max_features": None},
+        {"max_features": None, "bootstrap": False},
+        {"max_depth": 0},
+        {"max_depth": 1},
+        {"max_depth": 3},
+        {"min_samples_split": 5},
+        {"min_samples_split": 50},
+        {"n_trees": 1},
+        {"n_trees": 1, "bootstrap": False, "max_features": None},
+        {"n_trees": 100},
+    ])
+    @pytest.mark.parametrize("n_classes", [2, 20])
+    def test_forest_digest(self, changes, n_classes):
+        X, y = self.data(n_classes)
+        hp = dataclasses.replace(HyperParams(n_trees=7), **changes)
+        forest = train("rf", X, y, hp, seed=3)
+        assert len(forest.trees) == hp.n_trees
+        assert tree_digest(forest.trees) == tree_digest(per_tree_forest(X, y, hp, 3))
+
+    def test_rounded_wide_matrix(self):
+        # every column tied: values on a 0.5 grid, 80 features in two chunks
+        rng = np.random.default_rng(71)
+        X = np.round(2 * rng.normal(size=(120, 80))) / 2
+        y = rng.integers(0, 6, size=120)
+        for hp in (HyperParams(n_trees=12), HyperParams(n_trees=3, max_features=70)):
+            forest = train("rf", X, y, hp, seed=8)
+            assert tree_digest(forest.trees) == tree_digest(per_tree_forest(X, y, hp, 8))
 
 
 class TestKnn:
@@ -696,6 +819,13 @@ class TestCrossValidate:
             "knn", X, y, k=4, scaler="zscore", per_fold_scaler=True
         )
         assert report.mean_f1 == 1.0
+
+    def test_fit_and_predict_seconds_summed_over_folds(self):
+        rng = np.random.default_rng(54)
+        X, y = blobs(rng, n_per=12)
+        rep = cross_validate("rf", X, y, k=3, hyper=HyperParams(n_trees=3), seed=1)
+        assert rep.fit_s > 0.0 and rep.predict_s > 0.0
+        assert cross_validate("nb", X, y, k=3).fit_s > 0.0
 
     def test_mean_properties(self):
         rng = np.random.default_rng(43)
