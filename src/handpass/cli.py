@@ -100,9 +100,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _codec_counters(skipped: int, bad_csi: int) -> str:
+    return f"codec: {skipped} non-CSI packets skipped, {bad_csi} bad CSI records"
+
+
 def _rows_from_manifest(args, manifest):
     sanitizer = SanitizerConfig(lam=args.lam)
-    rows, dropped = [], 0
+    rows, dropped, skipped, bad_csi = [], 0, 0, 0
     for entry in manifest["captures"]:
         meta = ds.CaptureMeta(
             capture_number=entry["capture_number"],
@@ -114,20 +118,23 @@ def _rows_from_manifest(args, manifest):
         got, bad = ds.build_rows(capture, meta, sanitizer=sanitizer, prune=args.prune)
         rows.extend(got)
         dropped += bad
+        skipped += capture.skipped_non_csi
+        bad_csi += capture.bad_csi
         log.info("parsed %s: %d rows", entry["path"], len(got))
-    return rows, dropped
+    return rows, dropped, skipped, bad_csi
 
 
 def cmd_dataset(args) -> int:
     manifest = synth.load_manifest(os.path.join(args.indir, synth.MANIFEST_NAME))
     rate = args.rate or manifest["config"]["packets_per_second"]
-    rows, dropped = _rows_from_manifest(args, manifest)
+    rows, dropped, skipped, bad_csi = _rows_from_manifest(args, manifest)
     sliced = ds.slice_dataset(rows, args.slice, rate,
                               right_hand_only=not args.include_left)
     matrix = sliced.rows
     ds.write_csv(matrix, args.out)
     print(f"slice {args.slice}: {matrix.n_rows} rows x {matrix.n_columns} columns"
           f" ({dropped} frames dropped) -> {args.out}")
+    print(_codec_counters(skipped, bad_csi))
     return 0
 
 
@@ -232,7 +239,7 @@ def cmd_auth(args) -> int:
     audit = gk.AuditLog(args.log) if args.log else None
     decision = gk.authenticate(
         store,
-        capture.frames,
+        capture.csi,
         window_seconds=args.window,
         threshold=args.threshold,
         permission=args.permission,
@@ -249,6 +256,7 @@ def cmd_auth(args) -> int:
             decision.reason,
         ]],
     )
+    print(_codec_counters(capture.skipped_non_csi, capture.bad_csi))
     return 0
 
 

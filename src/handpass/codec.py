@@ -5,13 +5,16 @@ per packet: an 18-byte little-endian metadata header followed by 256
 complex subcarrier samples as interleaved signed 16-bit (re, im) pairs.
 CSI records are recognized by the payload magic, not by port, so stray
 traffic in a capture is skipped and counted rather than breaking the
-parse.  See docs/format.md for the byte-level layout.
+parse.  A capture is read into columns: one (n, 256, 2) int16 block of
+samples plus row-aligned header and timestamp arrays, with no object per
+record.  See docs/format.md for the byte-level layout.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +30,14 @@ _PCAP_MAGIC = 0xA1B2C3D4
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 _CSI_HEADER = struct.Struct("<HbB6sHHHH")
+
+# The 18-byte CSI header as one record, fields in CsiFrame order.  The MAC
+# is raw bytes: a string dtype ("S6") would drop its trailing NULs.
+HEADER_DTYPE = np.dtype([
+    ("magic", "<u2"), ("rssi", "i1"), ("frame_control", "u1"), ("source_mac", "V6"),
+    ("sequence_number", "<u2"), ("core_spatial", "<u2"), ("chanspec", "<u2"),
+    ("chip_version", "<u2"),
+])
 
 _ETH_BROADCAST = b"\xff\xff\xff\xff\xff\xff"
 _IP_SRC = bytes((10, 10, 10, 10))
@@ -88,15 +99,35 @@ class CsiFrame:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class CaptureFile:
-    """All CSI frames from one capture, in on-disk order, plus skip counters."""
+    """All CSI records from one capture, in on-disk order, as columns.
 
-    frames: list[CsiFrame]
+    ``csi`` is the (n, 256, 2) native int16 block of (re, im) pairs in
+    hardware order, ``headers`` the n CSI headers (HEADER_DTYPE) and
+    ``ts_sec``/``ts_usec`` the PCAP record timestamps; row i of each is
+    record i.  The counters tally the packets that were not read.
+    """
+
+    csi: np.ndarray
+    headers: np.ndarray
+    ts_sec: np.ndarray
+    ts_usec: np.ndarray
     source_path: str
     link_type: int
     skipped_non_csi: int = 0
     bad_csi: int = 0
+
+    @cached_property
+    def frames(self) -> list[CsiFrame]:
+        """The records as CsiFrame objects, built on first use.  Each
+        frame's ``csi`` is a view of its row of the block."""
+        return [
+            CsiFrame(*head, csi=csi, ts_sec=sec, ts_usec=usec)
+            for head, csi, sec, usec in zip(
+                self.headers.tolist(), self.csi, self.ts_sec.tolist(), self.ts_usec.tolist()
+            )
+        ]
 
 
 def decode_payload(payload: bytes, ts_sec: int = 0, ts_usec: int = 0) -> CsiFrame:
@@ -168,29 +199,11 @@ def _wrap_packet(frame: CsiFrame, port: int) -> bytes:
     return eth + ip + udp
 
 
-def _udp_payload(data: bytes) -> bytes | None:
-    """Extract the UDP payload from an Ethernet frame, or None if not IPv4/UDP.
-
-    Bounds-checked against the record's captured bytes only; never reads
-    outside ``data``.
-    """
-    if len(data) < 14 + 20 + 8:
-        return None
-    if data[12:14] != b"\x08\x00":
-        return None
-    ip = data[14:]
-    if ip[0] >> 4 != 4:
-        return None
-    ihl = (ip[0] & 0x0F) * 4
-    if ihl < 20 or len(ip) < ihl + 8:
-        return None
-    if ip[9] != 17:
-        return None
-    udp = ip[ihl:]
-    udp_len = (udp[4] << 8) | udp[5]
-    if udp_len < 8 or udp_len > len(udp):
-        return None
-    return udp[8:udp_len]
+def _gather(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """Copy ``buf[o:o + width]`` for every offset into an (n, width) block."""
+    if not len(offsets):  # a file shorter than width has no window to index
+        return np.empty((0, width), dtype=np.uint8)
+    return np.lib.stride_tricks.sliding_window_view(buf, width)[offsets]
 
 
 def read_capture(path: str, strict: bool = False, magic: int = CSI_MAGIC) -> CaptureFile:
@@ -199,7 +212,8 @@ def read_capture(path: str, strict: bool = False, magic: int = CSI_MAGIC) -> Cap
     Packets that are not CSI (wrong protocol stack or wrong payload magic)
     are skipped and counted in ``skipped_non_csi``.  Payloads that match
     the magic but fail validation are counted in ``bad_csi``, or raise
-    BadCsiPayload when ``strict`` is set.
+    BadCsiPayload when ``strict`` is set; under ``strict`` a bad payload
+    is reported before a truncated record that follows it.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -214,44 +228,79 @@ def read_capture(path: str, strict: bool = False, magic: int = CSI_MAGIC) -> Cap
     else:
         raise MalformedPcapHeader(f"{path}: unrecognized magic 0x{first:08x}")
     link_type = struct.unpack(endian + "IHHiIII", data[:24])[6]
+    magic_lo, magic_hi = struct.pack("<H", magic)
 
-    record = struct.Struct(endian + "IIII")
-    frames: list[CsiFrame] = []
-    skipped = 0
-    bad = 0
+    # The record walk is the one per-record loop: each header gives the
+    # offset of the next.
+    incl_len = struct.Struct(endian + "I").unpack_from
+    starts = []
+    truncated = None
     pos = 24
     size = len(data)
-    magic_bytes = struct.pack("<H", magic)
     while pos < size:
         if pos + 16 > size:
-            raise TruncatedRecord(f"{path}: record header truncated at offset {pos}")
-        ts_sec, ts_usec, incl_len, _orig_len = record.unpack_from(data, pos)
-        pos += 16
-        if pos + incl_len > size:
-            raise TruncatedRecord(f"{path}: record at offset {pos - 16} declares {incl_len} bytes past EOF")
-        pkt = data[pos:pos + incl_len]
-        pos += incl_len
+            truncated = f"{path}: record header truncated at offset {pos}"
+            break
+        end = pos + 16 + incl_len(data, pos + 8)[0]
+        if end > size:
+            truncated = f"{path}: record at offset {pos} declares {end - pos - 16} bytes past EOF"
+            break
+        starts.append(pos)
+        pos = end
 
-        if link_type != 1:
-            skipped += 1
-            continue
-        payload = _udp_payload(pkt)
-        if payload is None or payload[:2] != magic_bytes:
-            skipped += 1
-            continue
-        try:
-            frames.append(decode_payload(payload, ts_sec=ts_sec, ts_usec=ts_usec))
-        except BadCsiPayload:
-            if strict:
-                raise
-            bad += 1
+    # Every packet check runs once over all records.  Offsets past a
+    # record's end read other bytes (clipped at EOF); the length checks
+    # mask those records out.
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts = np.array(starts, dtype=np.intp)
+    records = _gather(buf, starts, 16).view(endian + "u4").astype(np.uint32)
+    length = records[:, 2].astype(np.intp)
+    last = size - 1
 
+    def at(offsets):
+        return buf[np.minimum(offsets, last)]
+
+    eth = starts + 16
+    ip = eth + 14
+    ihl = (at(ip) & 0x0F).astype(np.intp) * 4
+    udp = ip + ihl
+    udp_len = at(udp + 4).astype(np.intp) << 8 | at(udp + 5)
+    payload = udp + 8
+    n_payload = udp_len - 8
+    is_csi = (
+        (link_type == 1)
+        & (length >= 14 + 20 + 8)
+        & (at(eth + 12) == 0x08) & (at(eth + 13) == 0x00)
+        & (at(ip) >> 4 == 4)
+        & (ihl >= 20)
+        & (at(ip + 9) == 17)
+        & (udp_len >= 8) & (udp_len <= length - 14 - ihl)   # UDP header inside the record
+        & (n_payload >= 2) & (at(payload) == magic_lo) & (at(payload + 1) == magic_hi)
+    )
+    # A payload that matches a magic other than CSI_MAGIC is a bad record,
+    # as decode_payload would find it.
+    good = is_csi & (n_payload == PAYLOAD_LEN) & (magic == CSI_MAGIC)
+    bad = is_csi & ~good
+    if strict and bad.any():
+        first = int(n_payload[np.argmax(bad)])
+        if first != PAYLOAD_LEN:
+            raise BadCsiPayload(f"payload is {first} bytes, expected {PAYLOAD_LEN}")
+        raise BadCsiPayload(f"bad magic 0x{magic:04x}")
+    if truncated is not None:
+        raise TruncatedRecord(truncated)
+
+    # Both columns are contiguous copies, so neither keeps the rows alive.
+    rows = _gather(buf, payload[good], PAYLOAD_LEN)
+    csi = np.ascontiguousarray(rows[:, HEADER_LEN:]).view("<i2").astype(np.int16, copy=False)
     return CaptureFile(
-        frames=frames,
+        csi=csi.reshape(-1, N_SUBCARRIERS, 2),
+        headers=np.ascontiguousarray(rows[:, :HEADER_LEN]).view(HEADER_DTYPE).reshape(-1),
+        ts_sec=records[good, 0],
+        ts_usec=records[good, 1],
         source_path=path,
         link_type=link_type,
-        skipped_non_csi=skipped,
-        bad_csi=bad,
+        skipped_non_csi=int(len(starts) - is_csi.sum()),
+        bad_csi=int(bad.sum()),
     )
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .codec import CaptureFile, CsiFrame
 from .dsp import (
-    N_SUBCARRIERS,
     SanitizerConfig,
     SubcarrierMask,
     normalize_cfr,
@@ -195,9 +194,7 @@ def build_rows(
         mask = SubcarrierMask()
     if sanitizer is None:
         sanitizer = SanitizerConfig()
-    # reshape gives a capture without frames the block shape (0, 256, 2)
-    csi = np.array([f.csi for f in capture.frames], dtype=np.int16)
-    X, kept = features(csi.reshape(-1, N_SUBCARRIERS, 2), mask, sanitizer, prune)
+    X, kept = features(capture.csi, mask, sanitizer, prune)
     rows = [
         FeatureRow(features=x, meta=meta, frame_index=int(i))
         for x, i in zip(X, np.flatnonzero(kept))

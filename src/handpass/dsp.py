@@ -84,8 +84,13 @@ def to_cfr(csi) -> np.ndarray:
     csi = np.asarray(csi)
     if csi.ndim != 3 or csi.shape[1:] != (N_SUBCARRIERS, 2):
         raise ValueError(f"expected (n, {N_SUBCARRIERS}, 2) samples, got {csi.shape}")
-    c = csi.astype(np.float64)
-    return fft_shift(c[..., 0] + 1j * c[..., 1])
+    # Both halves land straight in one float64 (re, im) block that is
+    # viewed as complex: the same values as x + 1j*y for integer samples.
+    half = N_SUBCARRIERS // 2
+    out = np.empty(csi.shape, dtype=np.float64)
+    out[:, :half] = csi[:, half:]
+    out[:, half:] = csi[:, :half]
+    return out.view(np.complex128)[..., 0]
 
 
 def normalize_cfr(cfr: np.ndarray) -> tuple:

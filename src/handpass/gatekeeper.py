@@ -18,11 +18,13 @@ import re
 import socketserver
 import threading
 import time
+from array import array
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
-from .codec import CsiFrame, read_capture
+from .codec import N_SUBCARRIERS, read_capture
 from .dataset import feature_names, features
 from .dsp import FittedScaler, SanitizerConfig, SubcarrierMask, fit_scaler
 from .errors import (
@@ -123,7 +125,7 @@ def enroll(
 
 def authenticate(
     store: EnrollmentStore,
-    frames,
+    csi: np.ndarray,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     threshold: float = DEFAULT_THRESHOLD,
     permission: str = DEFAULT_PERMISSION,
@@ -131,7 +133,9 @@ def authenticate(
 ) -> AuthDecision:
     """Decide one access attempt from a window of raw frames.
 
-    The window must span window_seconds at the store's packet rate.
+    csi is the window as an (n, 256, 2) int16 block in hardware order
+    (``CaptureFile.csi``, or inline frames decoded by the service).  The
+    window must span window_seconds at the store's packet rate.
     Frames that fail preprocessing (all-zero) are dropped; the modal
     prediction over the rest must reach the vote-share threshold and
     be enrolled with the required permission.
@@ -145,14 +149,13 @@ def authenticate(
         raise BadPolicy(f"threshold {threshold!r} is not a finite number >= 0")
     if not (math.isfinite(window_seconds) and window_seconds > 0.0):
         raise BadPolicy(f"window_seconds {window_seconds!r} is not a finite number > 0")
-    frames = list(frames)
     need = math.ceil(window_seconds * store.packets_per_second)
-    if len(frames) < need:
+    if len(csi) < need:
         raise WindowTooShort(
-            f"{len(frames)} frames span less than {window_seconds} s"
+            f"{len(csi)} frames span less than {window_seconds} s"
             f" at {store.packets_per_second} pkt/s (need {need})"
         )
-    X, _ = features(np.stack([f.csi for f in frames]), store.mask, store.sanitizer, store.prune)
+    X, _ = features(csi, store.mask, store.sanitizer, store.prune)
     used = X.shape[0]
     if not used:
         raise ZeroSignal("every frame in the window was degenerate")
@@ -329,15 +332,15 @@ class _AuthHandler(socketserver.StreamRequestHandler):
             return {"ok": False, "error": {"code": "not-ready",
                                            "message": "no enrollment store loaded"}}
         if "capture" in req:
-            frames = read_capture(req["capture"]).frames
+            csi = read_capture(req["capture"]).csi
         elif "frames" in req:
-            frames = [_inline_frame(f) for f in req["frames"]]
+            csi = _inline_csi(req["frames"])
         else:
             return {"ok": False, "error": {"code": "bad-request",
                                            "message": "need capture or frames"}}
         decision = authenticate(
             store,
-            frames,
+            csi,
             window_seconds=req.get("window_seconds", DEFAULT_WINDOW_SECONDS),
             threshold=req.get("threshold", DEFAULT_THRESHOLD),
             permission=req.get("permission", DEFAULT_PERMISSION),
@@ -346,20 +349,34 @@ class _AuthHandler(socketserver.StreamRequestHandler):
         return {"ok": True, "decision": asdict(decision)}
 
 
-def _inline_frame(pairs):
-    # numpy infers the dtype, so 1.5 or "7" anywhere in the frame
-    # leaves it non-integer instead of being cast to an integer
-    csi = np.asarray(pairs)
-    if csi.shape != (256, 2) or csi.dtype.kind not in "iu":
-        raise ValueError("inline frame must be 256 [re, im] pairs of integers,"
-                         f" got shape {csi.shape} of {csi.dtype}")
-    if csi.max() > 32767 or csi.min() < -32768:
-        raise ValueError("inline frame values exceed int16 range")
-    return CsiFrame(
-        ts_sec=0, ts_usec=0, rssi=0, frame_control=0,
-        source_mac=b"\x00" * 6, sequence_number=0, core_spatial=0,
-        chanspec=0, chip_version=0, csi=csi.astype(np.int16),
-    )
+def _lists_of(items, length: int) -> bool:
+    """Whether every item is a list of ``length`` elements."""
+    return set(map(type, items)) <= {list} and set(map(len, items)) <= {length}
+
+
+def _inline_csi(frames) -> np.ndarray:
+    """Check the inline ``frames`` of a request and convert them as one
+    (n, 256, 2) int16 block.
+
+    Every frame must be a list of 256 [re, im] lists and every sample an
+    int in the int16 range.  The checks map over whole levels of the
+    request in C, with no Python loop per sample.  ``type(v) is int``
+    refuses the int subclass bool (JSON true/false) as well as floats,
+    strings and null.
+    """
+    pairs = samples = None
+    if type(frames) is list and _lists_of(frames, N_SUBCARRIERS):
+        pairs = list(chain.from_iterable(frames))
+    if pairs is not None and _lists_of(pairs, 2):
+        samples = list(chain.from_iterable(pairs))
+    if samples is None or set(map(type, samples)) - {int}:
+        raise ValueError(f"inline frames must be lists of {N_SUBCARRIERS} [re, im] pairs"
+                         " of integers")
+    try:
+        samples = array("h", samples)  # C short: refuses values outside int16
+    except OverflowError as exc:
+        raise ValueError("inline frame values exceed int16 range") from exc
+    return np.frombuffer(samples, dtype=np.short).reshape(-1, N_SUBCARRIERS, 2)
 
 
 def serve(store: EnrollmentStore | None, host: str = "127.0.0.1", port: int = 5501,

@@ -82,7 +82,7 @@ def test_criterion_1_structural_accounting():
     meta = CaptureMeta(capture_number=1, gender="M", hand="Right", user_id=1)
     for prune, width in ((True, 472), (False, 516)):
         rows, _ = build_rows(
-            type("C", (), {"frames": [frame]})(), meta, prune=prune
+            type("C", (), {"csi": frame.csi[None]})(), meta, prune=prune
         )
         m = FeatureMatrix.from_rows(rows, feature_names(prune=prune))
         checks.append(m.n_columns == width)
@@ -360,7 +360,7 @@ def test_criterion_7_gatekeeper_safety(tmp_path):
                 got, _ = build_rows(cap, meta)
                 rows_by_user[uid] = np.stack([r.features for r in got])
         else:
-            probes[uid] = cap.frames
+            probes[uid] = cap.csi
     store = gatekeeper.enroll(
         rows_by_user, HyperParams(n_trees=15, max_depth=12),
         seed=3, packets_per_second=20,
@@ -373,7 +373,7 @@ def test_criterion_7_gatekeeper_safety(tmp_path):
     def window(uid=None, mix=None, size=20):
         if mix is not None:
             (ua, na), (ub, nb) = mix
-            return probes[ua][:na] + probes[ub][:nb]
+            return np.concatenate([probes[ua][:na], probes[ub][:nb]])
         frames = probes[uid]
         start = int(rng.integers(0, len(frames) - size + 1))
         return frames[start : start + size]

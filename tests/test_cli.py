@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -287,6 +288,47 @@ class TestEnrollAuth:
         )
         assert code == 1  # 20 rows per user is under the enrollment minimum
         assert "error:" in err
+
+
+def add_strays(src, dst, non_csi, bad_csi):
+    """Copy a synth capture and append copies of its last CSI record:
+    ``non_csi`` as ARP frames, ``bad_csi`` with the payload cut to 1041
+    bytes by the UDP length field."""
+    with open(src, "rb") as fh:
+        data = fh.read()
+    record = data[-(16 + 14 + 20 + 8 + 1042):]
+    head, pkt = record[:16], bytearray(record[16:])
+    arp = bytearray(pkt)
+    arp[12:14] = b"\x08\x06"
+    short = bytearray(pkt)
+    short[14 + 20 + 4:14 + 20 + 6] = (8 + 1041).to_bytes(2, "big")
+    with open(dst, "wb") as fh:
+        fh.write(data + (head + arp) * non_csi + (head + short) * bad_csi)
+
+
+class TestCodecCounters:
+    def test_dataset_sums_counters(self, clean_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(clean_corpus, corpus)
+        for user, (non_csi, bad) in ((1, (2, 1)), (3, (1, 2))):
+            path = corpus / f"user_0{user}" / "Right" / "capture_1.pcap"
+            add_strays(path, path, non_csi, bad)
+        code, out, _ = run(capsys, "dataset", "--in", str(corpus), "--slice", "D1",
+                           "--out", str(tmp_path / "D1.csv"))
+        assert code == 0
+        assert "codec: 3 non-CSI packets skipped, 3 bad CSI records" in out.splitlines()
+
+    def test_auth_reports_its_capture(self, enroll_env, capsys, tmp_path):
+        corpus, csv, _ = enroll_env
+        store = str(tmp_path / "store.json")
+        assert main(["enroll", "--data", csv, "--store", store, "--rate", "20",
+                     "--trees", "5", "--seed", "2"]) == 0
+        probe = str(tmp_path / "probe.pcap")
+        add_strays(os.path.join(corpus, "user_02", "Right", "capture_1.pcap"), probe, 4, 1)
+        capsys.readouterr()
+        code, out, _ = run(capsys, "auth", "--store", store, "--capture", probe)
+        assert code == 0
+        assert "codec: 4 non-CSI packets skipped, 1 bad CSI records" in out.splitlines()
 
 
 class TestRefusedStore:

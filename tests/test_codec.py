@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from handpass.codec import (
     CSI_MAGIC,
+    HEADER_DTYPE,
     HEADER_LEN,
     PAYLOAD_LEN,
     CsiFrame,
@@ -31,15 +33,19 @@ def make_payload(
     return header + csi_bytes
 
 
-def wrap_udp(payload: bytes, ethertype=b"\x08\x00", proto=17) -> bytes:
-    """Minimal Ethernet/IPv4/UDP wrapper for arbitrary payload bytes."""
-    udp = struct.pack(">HHHH", 5500, 5500, 8 + len(payload), 0) + payload
+def packet(payload: bytes, ihl=5, udp_len=None, version=4, proto=17,
+           ethertype=b"\x08\x00", mac=MAC) -> bytes:
+    """Ethernet/IPv4/UDP around ``payload``; ``ihl`` > 5 adds IP options
+    and ``udp_len`` overrides the UDP length field."""
+    if udp_len is None:
+        udp_len = 8 + len(payload)
+    udp = struct.pack(">HHHH", 5500, 5500, udp_len, 0) + payload
+    options = bytes(range(1, 1 + 4 * max(ihl - 5, 0)))
     ip = struct.pack(
-        ">BBHHHBBH4s4s", 0x45, 0, 20 + len(udp), 0, 0, 64, proto, 0,
-        b"\x0a\x0a\x0a\x0a", b"\xff\xff\xff\xff",
-    )
-    eth = b"\xff" * 6 + MAC + ethertype
-    return eth + ip + udp
+        ">BBHHHBBH4s4s", version << 4 | ihl, 0, 20 + len(options) + len(udp), 0, 0, 64,
+        proto, 0, b"\x0a\x0a\x0a\x0a", b"\xff\xff\xff\xff",
+    ) + options
+    return b"\xff" * 6 + mac + ethertype + ip + udp
 
 
 def pcap_bytes(packets, endian="<", link_type=1) -> bytes:
@@ -142,17 +148,17 @@ class TestReadCapture:
 
     def test_big_endian_header(self, tmp_path):
         frame = decode_payload(make_payload())
-        pkt = wrap_udp(encode_payload(frame))
+        pkt = packet(encode_payload(frame))
         p = tmp_path / "be.pcap"
         p.write_bytes(pcap_bytes([pkt], endian=">"))
         cap = read_capture(str(p))
         assert len(cap.frames) == 1 and cap.frames[0].source_mac == MAC
 
     def test_non_csi_packets_skipped(self, tmp_path):
-        csi_pkt = wrap_udp(make_payload())
-        arp_pkt = wrap_udp(make_payload(), ethertype=b"\x08\x06")
-        other_udp = wrap_udp(b"not a csi payload")
-        tcp_pkt = wrap_udp(make_payload(), proto=6)
+        csi_pkt = packet(make_payload())
+        arp_pkt = packet(make_payload(), ethertype=b"\x08\x06")
+        other_udp = packet(b"not a csi payload")
+        tcp_pkt = packet(make_payload(), proto=6)
         p = tmp_path / "mixed.pcap"
         p.write_bytes(pcap_bytes([csi_pkt, arp_pkt, other_udp, csi_pkt, tcp_pkt]))
         cap = read_capture(str(p))
@@ -161,7 +167,7 @@ class TestReadCapture:
         assert cap.bad_csi == 0
 
     def test_non_ethernet_link_skips_everything(self, tmp_path):
-        pkt = wrap_udp(make_payload())
+        pkt = packet(make_payload())
         p = tmp_path / "raw.pcap"
         p.write_bytes(pcap_bytes([pkt, pkt], link_type=105))
         cap = read_capture(str(p))
@@ -170,14 +176,14 @@ class TestReadCapture:
     def test_bad_csi_counted(self, tmp_path):
         torn = make_payload()[:200]  # right magic, wrong length
         p = tmp_path / "bad.pcap"
-        p.write_bytes(pcap_bytes([wrap_udp(torn), wrap_udp(make_payload())]))
+        p.write_bytes(pcap_bytes([packet(torn), packet(make_payload())]))
         cap = read_capture(str(p))
         assert len(cap.frames) == 1 and cap.bad_csi == 1
 
     def test_bad_csi_strict_raises(self, tmp_path):
         torn = make_payload()[:200]
         p = tmp_path / "bad.pcap"
-        p.write_bytes(pcap_bytes([wrap_udp(torn)]))
+        p.write_bytes(pcap_bytes([packet(torn)]))
         with pytest.raises(BadCsiPayload):
             read_capture(str(p), strict=True)
 
@@ -188,7 +194,7 @@ class TestReadCapture:
             read_capture(str(p))
 
     def test_truncated_record_body(self, tmp_path):
-        pkt = wrap_udp(make_payload())
+        pkt = packet(make_payload())
         data = pcap_bytes([pkt])
         p = tmp_path / "trunc2.pcap"
         p.write_bytes(data[:-20])
@@ -220,3 +226,210 @@ class TestReadCapture:
                 read_capture(str(p))
             except (MalformedPcapHeader, TruncatedRecord, BadCsiPayload):
                 pass
+
+
+# --- reference reader -----------------------------------------------------------
+# The per-record reader that the columnar read_capture replaced: one Python
+# pass per record and one CsiFrame per CSI payload, raising as it meets
+# each error.  read_capture must agree with it on every input.
+
+def _udp_payload(data: bytes) -> bytes | None:
+    """Extract the UDP payload from an Ethernet frame, or None if not IPv4/UDP."""
+    if len(data) < 14 + 20 + 8:
+        return None
+    if data[12:14] != b"\x08\x00":
+        return None
+    ip = data[14:]
+    if ip[0] >> 4 != 4:
+        return None
+    ihl = (ip[0] & 0x0F) * 4
+    if ihl < 20 or len(ip) < ihl + 8:
+        return None
+    if ip[9] != 17:
+        return None
+    udp = ip[ihl:]
+    udp_len = (udp[4] << 8) | udp[5]
+    if udp_len < 8 or udp_len > len(udp):
+        return None
+    return udp[8:udp_len]
+
+
+def reference_read(path, strict=False, magic=CSI_MAGIC):
+    """(frames, link_type, skipped_non_csi, bad_csi) of a capture file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < 24:
+        raise MalformedPcapHeader(f"{path}: file too short for a PCAP global header")
+    first = struct.unpack("<I", data[:4])[0]
+    if first == 0xA1B2C3D4:
+        endian = "<"
+    elif struct.unpack(">I", data[:4])[0] == 0xA1B2C3D4:
+        endian = ">"
+    else:
+        raise MalformedPcapHeader(f"{path}: unrecognized magic 0x{first:08x}")
+    link_type = struct.unpack(endian + "IHHiIII", data[:24])[6]
+
+    record = struct.Struct(endian + "IIII")
+    frames, skipped, bad = [], 0, 0
+    pos, size = 24, len(data)
+    magic_bytes = struct.pack("<H", magic)
+    while pos < size:
+        if pos + 16 > size:
+            raise TruncatedRecord(f"{path}: record header truncated at offset {pos}")
+        ts_sec, ts_usec, incl_len, _orig_len = record.unpack_from(data, pos)
+        pos += 16
+        if pos + incl_len > size:
+            raise TruncatedRecord(f"{path}: record at offset {pos - 16} declares {incl_len} bytes past EOF")
+        pkt = data[pos:pos + incl_len]
+        pos += incl_len
+        if link_type != 1:
+            skipped += 1
+            continue
+        payload = _udp_payload(pkt)
+        if payload is None or payload[:2] != magic_bytes:
+            skipped += 1
+            continue
+        try:
+            frames.append(decode_payload(payload, ts_sec=ts_sec, ts_usec=ts_usec))
+        except BadCsiPayload:
+            if strict:
+                raise
+            bad += 1
+    return frames, link_type, skipped, bad
+
+
+def outcome(read, path, **kwargs):
+    """(error, result) of reading a file; error is (type, message) or None."""
+    try:
+        return None, read(path, **kwargs)
+    except (MalformedPcapHeader, TruncatedRecord, BadCsiPayload) as exc:
+        return (type(exc), str(exc)), None
+
+
+def assert_matches_reference(path, **kwargs):
+    error, want = outcome(reference_read, path, **kwargs)
+    got_error, got = outcome(read_capture, path, **kwargs)
+    assert got_error == error
+    if error:
+        return
+    frames, link_type, skipped, bad = want
+    assert (got.link_type, got.skipped_non_csi, got.bad_csi) == (link_type, skipped, bad)
+    assert got.csi.dtype == np.int16 and got.csi.dtype.isnative
+    assert got.csi.shape == (len(frames), 256, 2) and got.csi.flags.c_contiguous
+    assert np.array_equal(got.csi, np.array([f.csi for f in frames]).reshape(-1, 256, 2))
+    heads = np.array([
+        (f.magic, f.rssi, f.frame_control, f.source_mac, f.sequence_number,
+         f.core_spatial, f.chanspec, f.chip_version) for f in frames
+    ], dtype=HEADER_DTYPE)
+    assert got.headers.dtype == HEADER_DTYPE and got.headers.tobytes() == heads.tobytes()
+    assert got.ts_sec.tolist() == [f.ts_sec for f in frames]
+    assert got.ts_usec.tolist() == [f.ts_usec for f in frames]
+    assert got.frames == frames
+
+
+def seeded_payloads(rng, n):
+    """n CSI payloads with random headers; every MAC ends in NUL bytes."""
+    out = []
+    for _ in range(n):
+        frame = random_frame(rng)
+        frame.source_mac = frame.source_mac[:4] + b"\x00\x00"
+        out.append(encode_payload(frame))
+    return out
+
+
+class TestMatchesReference:
+    """read_capture against the per-record reference reader, on clean and
+    damaged captures, with strict off and on."""
+
+    @pytest.fixture
+    def check(self, tmp_path):
+        names = itertools.count()
+
+        def check_bytes(blob, **kwargs):
+            path = tmp_path / f"cap{next(names)}.pcap"
+            path.write_bytes(blob)
+            for strict in (False, True):
+                assert_matches_reference(str(path), strict=strict, **kwargs)
+        return check_bytes
+
+    @staticmethod
+    def mixed_capture(rng, endian="<", link_type=1) -> bytes:
+        good = seeded_payloads(rng, 4)
+        pkts = [packet(good[0]), packet(b"not a csi payload"), packet(good[1]),
+                packet(good[2], ethertype=b"\x08\x06"), packet(good[3], ihl=9),
+                packet(good[0], version=6), packet(good[1], proto=6)]
+        return pcap_bytes(pkts, endian=endian, link_type=link_type)
+
+    def test_clean_and_mixed(self, check):
+        rng = np.random.default_rng(8)
+        check(self.mixed_capture(rng))
+        check(pcap_bytes([]))
+
+    def test_mac_trailing_nuls_survive(self, tmp_path):
+        payload = seeded_payloads(np.random.default_rng(9), 1)[0]
+        path = tmp_path / "nul.pcap"
+        path.write_bytes(pcap_bytes([packet(payload)]))
+        cap = read_capture(str(path))
+        assert cap.headers["source_mac"][0].tobytes() == payload[4:10]
+        assert cap.frames[0].source_mac == payload[4:10]
+        assert payload[8:10] == b"\x00\x00"
+
+    def test_byte_flips(self, check):
+        rng = np.random.default_rng(10)
+        base = bytearray(self.mixed_capture(rng))
+        for _ in range(150):
+            blob = base.copy()
+            for pos in rng.integers(24, len(blob), size=int(rng.integers(1, 4))):
+                blob[pos] ^= int(rng.integers(1, 256))
+            check(bytes(blob))
+
+    def test_truncation_in_record_header_and_body(self, check):
+        rng = np.random.default_rng(11)
+        blob = self.mixed_capture(rng)
+        first_body = 24 + 16
+        for cut in [*range(25, first_body + 60, 3), *range(len(blob) - 1100, len(blob), 37)]:
+            check(blob[:cut])
+
+    @pytest.mark.parametrize("ihl", range(16))
+    def test_ihl_with_ip_options(self, check, ihl):
+        payload = seeded_payloads(np.random.default_rng(12), 1)[0]
+        check(pcap_bytes([packet(payload, ihl=ihl), packet(payload)]))
+
+    @pytest.mark.parametrize("delta", [-1042, -1041, -1040, -1034, -1, 1, 2, 60])
+    def test_udp_length_short_or_long(self, check, delta):
+        payload = seeded_payloads(np.random.default_rng(13), 1)[0]
+        check(pcap_bytes([packet(payload, udp_len=8 + len(payload) + delta), packet(payload)]))
+
+    @pytest.mark.parametrize("link_type", [0, 105, 113])
+    def test_link_type_other_than_ethernet(self, check, link_type):
+        check(self.mixed_capture(np.random.default_rng(14), link_type=link_type))
+
+    def test_big_endian_file(self, check):
+        check(self.mixed_capture(np.random.default_rng(15), endian=">"))
+
+    def test_wrong_magic(self, check):
+        payload = seeded_payloads(np.random.default_rng(16), 1)[0]
+        other = b"\x22\x22" + payload[2:]
+        check(pcap_bytes([packet(other), packet(payload)]))
+        check(pcap_bytes([packet(other), packet(payload)]), magic=0x2222)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 18, 1041, 1043])
+    def test_payload_lengths(self, check, size):
+        payload = seeded_payloads(np.random.default_rng(17), 1)[0]
+        wrong = (payload * 2)[:size]
+        check(pcap_bytes([packet(payload), packet(wrong), packet(payload)]))
+
+    def test_zero_length_records(self, check):
+        payload = seeded_payloads(np.random.default_rng(18), 1)[0]
+        check(pcap_bytes([b"", packet(payload), b"", b""]))
+
+    def test_bad_payload_before_truncation(self, check, tmp_path):
+        payload = seeded_payloads(np.random.default_rng(19), 1)[0]
+        blob = pcap_bytes([packet(payload[:1041]), packet(payload)])[:-5]
+        check(blob)
+        path = tmp_path / "both.pcap"
+        path.write_bytes(blob)
+        with pytest.raises(BadCsiPayload):
+            read_capture(str(path), strict=True)
+        with pytest.raises(TruncatedRecord):
+            read_capture(str(path))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_frame
-from handpass.codec import CaptureFile, CsiFrame
+from handpass.codec import HEADER_DTYPE, CaptureFile, CsiFrame
 from handpass.dataset import (
     META_COLUMNS,
     SLICE_DEFS,
@@ -22,7 +22,16 @@ META = CaptureMeta(capture_number=1, gender="M", hand="Right", user_id=3)
 
 
 def capture_of(frames):
-    return CaptureFile(frames=list(frames), source_path=None, link_type=1)
+    """A capture holding the sample blocks of ``frames`` (headers left zero)."""
+    n = len(frames)
+    return CaptureFile(
+        csi=np.array([f.csi for f in frames], dtype=np.int16).reshape(n, 256, 2),
+        headers=np.zeros(n, dtype=HEADER_DTYPE),
+        ts_sec=np.zeros(n, dtype=np.uint32),
+        ts_usec=np.zeros(n, dtype=np.uint32),
+        source_path=None,
+        link_type=1,
+    )
 
 
 def flat_row(width, user, cap, idx, hand="Right"):

@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handpass import gatekeeper, synth
 from handpass.codec import CsiFrame, read_capture
@@ -31,8 +33,8 @@ from handpass.gatekeeper import (
 from handpass.learners import HyperParams
 
 
-def zero_frame():
-    return CsiFrame(csi=np.zeros((256, 2), dtype=np.int16))
+def zero_frames(n):
+    return np.zeros((n, 256, 2), dtype=np.int16)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +57,7 @@ def auth_env(tmp_path_factory):
             rows, _ = build_rows(cap, meta)
             rows_by_user[uid] = np.stack([r.features for r in rows])
         else:
-            probes[uid] = cap.frames
+            probes[uid] = cap.csi
             probe_paths[uid] = os.path.join(root, entry["path"])
     store = enroll(
         rows_by_user,
@@ -102,20 +104,20 @@ class TestAuthenticate:
 
     def test_mixed_window_below_threshold(self, auth_env):
         store, probes, _ = auth_env
-        window = probes[1][:11] + probes[2][:9]  # 55% modal share at best
+        window = np.concatenate([probes[1][:11], probes[2][:9]])  # 55% modal share at best
         d = authenticate(store, window)
         assert (d.decision, d.reason) == ("Deny", "below threshold")
         assert d.vote_share < 0.6
 
     def test_lower_threshold_grants_mixed_window(self, auth_env):
         store, probes, _ = auth_env
-        window = probes[1][:11] + probes[2][:9]
+        window = np.concatenate([probes[1][:11], probes[2][:9]])
         d = authenticate(store, window, threshold=0.5)
         assert (d.decision, d.user_id) == ("Grant", 1)
 
     def test_equal_split_prefers_lower_user_id(self, auth_env):
         store, probes, _ = auth_env
-        window = probes[2][:10] + probes[1][:10]
+        window = np.concatenate([probes[2][:10], probes[1][:10]])
         d = authenticate(store, window, threshold=0.4)
         assert d.user_id == 1
 
@@ -144,18 +146,18 @@ class TestAuthenticate:
     def test_all_zero_window(self, auth_env):
         store, _, _ = auth_env
         with pytest.raises(ZeroSignal):
-            authenticate(store, [zero_frame() for _ in range(20)])
+            authenticate(store, zero_frames(20))
 
     def test_zero_frames_dropped_not_counted(self, auth_env):
         store, probes, _ = auth_env
-        window = probes[2][:20] + [zero_frame() for _ in range(4)]
+        window = np.concatenate([probes[2][:20], zero_frames(4)])
         d = authenticate(store, window)
         assert d.decision == "Grant"
         assert d.frames_used == 20
 
     def test_threshold_grants_are_monotone(self, auth_env):
         store, probes, _ = auth_env
-        window = probes[1][:11] + probes[2][:9]
+        window = np.concatenate([probes[1][:11], probes[2][:9]])
         grants = [
             authenticate(store, window, threshold=t).decision == "Grant"
             for t in (0.5, 0.6, 0.8)
@@ -180,7 +182,7 @@ class TestAuthenticate:
                 rows, _ = build_rows(cap, meta)
                 rows_by_user[uid] = np.stack([r.features for r in rows[:120]])
             else:
-                probes[uid] = cap.frames
+                probes[uid] = cap.csi
         store = enroll(
             rows_by_user, HyperParams(n_trees=15, max_depth=12),
             seed=3, packets_per_second=20,
@@ -335,7 +337,7 @@ class TestPolicy:
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), -0.1])
     def test_out_of_policy_threshold_rejected(self, auth_env, threshold):
         store, probes, _ = auth_env
-        window = probes[1][:10] + probes[2][:10]  # denied at the default threshold
+        window = np.concatenate([probes[1][:10], probes[2][:10]])  # denied at the default threshold
         with pytest.raises(BadPolicy):
             authenticate(store, window, threshold=threshold)
 
@@ -354,7 +356,7 @@ class TestPolicy:
 
     def test_finite_thresholds_from_zero_up_accepted(self, auth_env):
         store, probes, _ = auth_env
-        window = probes[1][:10] + probes[2][:10]
+        window = np.concatenate([probes[1][:10], probes[2][:10]])
         assert authenticate(store, window, threshold=0.0).decision == "Grant"
         for threshold in (1.0, 1.1):  # above 1 no share can pass: fail closed
             d = authenticate(store, window, threshold=threshold)
@@ -400,7 +402,7 @@ class TestServer:
 
     def test_inline_frames_flow(self, auth_env):
         store, probes, _ = auth_env
-        frames = [f.csi.tolist() for f in probes[1][:20]]
+        frames = probes[1][:20].tolist()
         with running(store) as addr:
             (reply,) = ask(addr, {"op": "authenticate", "frames": frames})
         assert reply["ok"] is True
@@ -414,7 +416,7 @@ class TestServer:
 
     def test_bad_json_then_good_request_same_connection(self, auth_env):
         store, probes, _ = auth_env
-        frames = [f.csi.tolist() for f in probes[1][:20]]
+        frames = probes[1][:20].tolist()
         with running(store) as addr:
             bad, good = ask(
                 addr, b"this is not json\n", {"op": "authenticate", "frames": frames}
@@ -430,7 +432,7 @@ class TestServer:
 
     def test_window_too_short_reported_in_band(self, auth_env):
         store, probes, _ = auth_env
-        frames = [f.csi.tolist() for f in probes[1][:3]]
+        frames = probes[1][:3].tolist()
         with running(store) as addr:
             (reply,) = ask(addr, {"op": "authenticate", "frames": frames})
         assert reply["ok"] is False
@@ -445,7 +447,7 @@ class TestServer:
 
     def test_non_integer_inline_samples(self, auth_env):
         store, probes, _ = auth_env
-        frames = [f.csi.tolist() for f in probes[1][:20]]
+        frames = probes[1][:20].tolist()
         requests = []
         for sample in (1.5, 2.0, "7"):
             damaged = [[pair[:] for pair in frame] for frame in frames]
@@ -459,10 +461,22 @@ class TestServer:
             assert "integers" in reply["error"]["message"]
         assert intact["ok"] is True
 
+    def test_boolean_inline_sample_refused(self, auth_env):
+        # JSON true is the int subclass bool in Python; as a sample it
+        # would read as 1
+        store, probes, _ = auth_env
+        frames = probes[1][:20].tolist()
+        frames[5][7][1] = True
+        with running(store) as addr:
+            (reply,) = ask(addr, {"op": "authenticate", "frames": frames})
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad-request"
+        assert "integers" in reply["error"]["message"]
+
     def test_threshold_override_and_logging(self, auth_env, tmp_path):
         store, probes, _ = auth_env
         log = AuditLog(tmp_path / "server-audit.jsonl")
-        mixed = [f.csi.tolist() for f in probes[1][:11] + probes[2][:9]]
+        mixed = np.concatenate([probes[1][:11], probes[2][:9]]).tolist()
         with running(store, log=log) as addr:
             strict, lenient = ask(
                 addr,
@@ -476,7 +490,7 @@ class TestServer:
 
     def test_out_of_policy_values_reported_in_band(self, auth_env):
         store, probes, _ = auth_env
-        mixed = [f.csi.tolist() for f in probes[1][:10] + probes[2][:10]]
+        mixed = np.concatenate([probes[1][:10], probes[2][:10]]).tolist()
         nan_line = json.dumps(
             {"op": "authenticate", "frames": mixed, "threshold": float("nan")}
         ).encode() + b"\n"
@@ -495,3 +509,107 @@ class TestServer:
             assert reply["error"]["code"] == "bad-policy"
         assert text["error"]["code"] == "bad-request"
         assert default["decision"]["decision"] == "Deny"  # connection survived
+
+
+class TestNoPerFrameObjects:
+    """The hot paths move whole blocks: with CsiFrame unconstructible,
+    reading, feature rows, authenticate and both request kinds still work."""
+
+    def test_hot_paths_build_no_frames(self, auth_env, monkeypatch):
+        store, probes, probe_paths = auth_env
+
+        def refuse(self):
+            raise AssertionError("a CsiFrame was built on a hot path")
+
+        monkeypatch.setattr(CsiFrame, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            CsiFrame()
+        cap = read_capture(probe_paths[2])
+        meta = CaptureMeta(capture_number=2, gender="M", hand="Right", user_id=2)
+        rows, _ = build_rows(cap, meta)
+        assert len(rows) == len(cap.csi)
+        assert authenticate(store, cap.csi[:20]).decision == "Grant"
+        with running(store) as addr:
+            inline, capture = ask(
+                addr,
+                {"op": "authenticate", "frames": probes[2][:20].tolist()},
+                {"op": "authenticate", "capture": probe_paths[2]},
+            )
+        assert inline["ok"] is True and capture["ok"] is True
+        assert inline["decision"]["user_id"] == capture["decision"]["user_id"] == 2
+
+
+def reference_block(frames):
+    """The inline decode one frame and one sample at a time: each frame a
+    list of 256 [re, im] lists of exact ints in the int16 range."""
+    if type(frames) is not list:
+        raise ValueError("frames is not a list")
+    block = []
+    for frame in frames:
+        if type(frame) is not list or len(frame) != 256:
+            raise ValueError("frame is not 256 pairs")
+        for pair in frame:
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError("pair is not two samples")
+            for v in pair:
+                if type(v) is not int or not -32768 <= v <= 32767:
+                    raise ValueError("sample is not an int16")
+        block.append(frame)
+    return np.array(block, dtype=np.int16).reshape(-1, 256, 2)
+
+
+_leaves = st.one_of(
+    st.integers(-40000, 40000), st.integers(), st.booleans(),
+    st.floats(allow_nan=True), st.text(max_size=3), st.none(),
+)
+
+
+@st.composite
+def _inline_requests(draw):
+    """Valid blocks of 0-3 frames with one part swapped for an arbitrary
+    value, or an arbitrary nested value of any shape."""
+    if draw(st.booleans()):
+        return draw(st.recursive(_leaves, lambda inner: st.lists(inner, max_size=4),
+                                 max_leaves=20))
+    n = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    frames = np.random.default_rng(seed).integers(-32768, 32768, size=(n, 256, 2)).tolist()
+    if n and draw(st.booleans()):
+        replacement = draw(st.one_of(_leaves, st.lists(_leaves, max_size=3)))
+        i, k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 255)), draw(st.integers(0, 1))
+        level = draw(st.sampled_from(["sample", "pair", "frame"]))
+        if level == "sample":
+            frames[i][k][j] = replacement
+        elif level == "pair":
+            frames[i][k] = replacement
+        else:
+            frames[i] = replacement
+    return frames
+
+
+class TestInlineDecode:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_inline_requests())
+    def test_matches_per_frame_reference(self, frames):
+        try:
+            want = reference_block(frames)
+        except ValueError:
+            with pytest.raises(ValueError):
+                gatekeeper._inline_csi(frames)
+        else:
+            got = gatekeeper._inline_csi(frames)
+            assert got.dtype == np.int16 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sample", [True, False, 1.0, "1", None, 32768, -32769, 2 ** 70])
+    def test_one_bad_sample_refused(self, sample):
+        frames = np.ones((2, 256, 2), dtype=np.int16).tolist()
+        frames[1][200][0] = sample
+        with pytest.raises(ValueError):
+            gatekeeper._inline_csi(frames)
+
+    def test_extremes_and_empty_accepted(self):
+        frames = np.full((1, 256, 2), -32768, dtype=np.int16)
+        frames[0, :, 1] = 32767
+        assert np.array_equal(gatekeeper._inline_csi(frames.tolist()), frames)
+        assert gatekeeper._inline_csi([]).shape == (0, 256, 2)
