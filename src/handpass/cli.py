@@ -25,7 +25,6 @@ from . import dataset as ds
 from . import gatekeeper as gk
 from . import synth
 from .codec import read_capture
-from .dsp import SanitizerConfig
 from .errors import HandpassError
 from .learners import (
     KINDS,
@@ -105,7 +104,6 @@ def _codec_counters(skipped: int, bad_csi: int) -> str:
 
 
 def _rows_from_manifest(args, manifest):
-    sanitizer = SanitizerConfig(lam=args.lam)
     rows, dropped, skipped, bad_csi = [], 0, 0, 0
     for entry in manifest["captures"]:
         meta = ds.CaptureMeta(
@@ -115,7 +113,7 @@ def _rows_from_manifest(args, manifest):
             user_id=entry["user_id"],
         )
         capture = read_capture(os.path.join(args.indir, entry["path"]))
-        got, bad = ds.build_rows(capture, meta, sanitizer=sanitizer, prune=args.prune)
+        got, bad = ds.build_rows(capture, meta, prune=args.prune)
         rows.extend(got)
         dropped += bad
         skipped += capture.skipped_non_csi
@@ -310,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--include-left", action="store_true",
                     help="keep left-hand captures (default: right hand only)")
-    sp.add_argument("--lam", type=float, default=0.1,
-                    help="phase-detrend ridge weight")
     sp.add_argument("--rate", type=int, default=None,
                     help="packets per second (default: manifest value)")
     add_common(sp)

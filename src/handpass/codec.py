@@ -28,8 +28,6 @@ CSI_UDP_PORT = 5500         # emission port; readers match on magic only
 
 _PCAP_MAGIC = 0xA1B2C3D4
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
-_RECORD_HEADER = struct.Struct("<IIII")
-_CSI_HEADER = struct.Struct("<HbB6sHHHH")
 
 # The 18-byte CSI header as one record, fields in CsiFrame order.  The MAC
 # is raw bytes: a string dtype ("S6") would drop its trailing NULs.
@@ -38,10 +36,22 @@ HEADER_DTYPE = np.dtype([
     ("sequence_number", "<u2"), ("core_spatial", "<u2"), ("chanspec", "<u2"),
     ("chip_version", "<u2"),
 ])
+_PAYLOAD_DTYPE = np.dtype([("header", HEADER_DTYPE), ("csi", "<i2", (N_SUBCARRIERS, 2))])
 
-_ETH_BROADCAST = b"\xff\xff\xff\xff\xff\xff"
-_IP_SRC = bytes((10, 10, 10, 10))
-_IP_DST = bytes((255, 255, 255, 255))
+# One written record: the PCAP record header, then Ethernet II, IPv4
+# without options and UDP, all big-endian, then the CSI payload.
+_IPV4_DTYPE = np.dtype([
+    ("version_ihl", "u1"), ("tos", "u1"), ("total_len", ">u2"), ("ident", ">u2"),
+    ("fragment", ">u2"), ("ttl", "u1"), ("protocol", "u1"), ("checksum", ">u2"),
+    ("src", "V4"), ("dst", "V4"),
+])
+_RECORD_DTYPE = np.dtype([
+    ("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4"),
+    ("eth_dst", "V6"), ("eth_src", "V6"), ("ethertype", ">u2"),
+    ("ip", _IPV4_DTYPE),
+    ("udp", [("src_port", ">u2"), ("dst_port", ">u2"), ("length", ">u2"), ("checksum", ">u2")]),
+    ("payload", _PAYLOAD_DTYPE),
+])
 
 
 @dataclass(eq=False)
@@ -137,66 +147,21 @@ def decode_payload(payload: bytes, ts_sec: int = 0, ts_usec: int = 0) -> CsiFram
     """
     if len(payload) != PAYLOAD_LEN:
         raise BadCsiPayload(f"payload is {len(payload)} bytes, expected {PAYLOAD_LEN}")
-    magic, rssi, fctl, mac, seq, core_spatial, chanspec, chip = _CSI_HEADER.unpack_from(payload, 0)
-    if magic != CSI_MAGIC:
-        raise BadCsiPayload(f"bad magic 0x{magic:04x}")
-    csi = np.frombuffer(payload, dtype="<i2", offset=HEADER_LEN).reshape(N_SUBCARRIERS, 2).copy()
-    return CsiFrame(
-        magic=magic,
-        rssi=rssi,
-        frame_control=fctl,
-        source_mac=mac,
-        sequence_number=seq,
-        core_spatial=core_spatial,
-        chanspec=chanspec,
-        chip_version=chip,
-        csi=csi,
-        ts_sec=ts_sec,
-        ts_usec=ts_usec,
-    )
+    (record,) = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE)
+    header = record["header"].tolist()
+    if header[0] != CSI_MAGIC:
+        raise BadCsiPayload(f"bad magic 0x{header[0]:04x}")
+    return CsiFrame(*header, csi=record["csi"].copy(), ts_sec=ts_sec, ts_usec=ts_usec)
 
 
 def encode_payload(frame: CsiFrame) -> bytes:
     """Inverse of decode_payload; bit-exact for any frame the decoder accepts."""
-    header = _CSI_HEADER.pack(
-        frame.magic,
-        frame.rssi,
-        frame.frame_control,
-        frame.source_mac,
-        frame.sequence_number,
-        frame.core_spatial,
-        frame.chanspec,
-        frame.chip_version,
-    )
-    return header + np.ascontiguousarray(frame.csi, dtype="<i2").tobytes()
-
-
-def _ip_checksum(header: bytes) -> int:
-    total = 0
-    for i in range(0, len(header), 2):
-        total += (header[i] << 8) | header[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
-def _wrap_packet(frame: CsiFrame, port: int) -> bytes:
-    """Wrap a CSI payload in deterministic Ethernet/IPv4/UDP headers."""
-    payload = encode_payload(frame)
-    udp_len = 8 + len(payload)
-    udp = struct.pack(">HHHH", port, port, udp_len, 0) + payload
-    total_len = 20 + udp_len
-    ip_wo_ck = struct.pack(
-        ">BBHHHBBH4s4s",
-        0x45, 0, total_len,
-        frame.sequence_number & 0xFFFF, 0,
-        64, 17, 0,
-        _IP_SRC, _IP_DST,
-    )
-    ck = _ip_checksum(ip_wo_ck)
-    ip = ip_wo_ck[:10] + struct.pack(">H", ck) + ip_wo_ck[12:]
-    eth = _ETH_BROADCAST + frame.source_mac + struct.pack(">H", 0x0800)
-    return eth + ip + udp
+    record = np.empty((), dtype=_PAYLOAD_DTYPE)
+    record["header"] = (frame.magic, frame.rssi, frame.frame_control, frame.source_mac,
+                        frame.sequence_number, frame.core_spatial, frame.chanspec,
+                        frame.chip_version)
+    record["csi"] = frame.csi
+    return record.tobytes()
 
 
 def _gather(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
@@ -290,11 +255,10 @@ def read_capture(path: str, strict: bool = False, magic: int = CSI_MAGIC) -> Cap
         raise TruncatedRecord(truncated)
 
     # Both columns are contiguous copies, so neither keeps the rows alive.
-    rows = _gather(buf, payload[good], PAYLOAD_LEN)
-    csi = np.ascontiguousarray(rows[:, HEADER_LEN:]).view("<i2").astype(np.int16, copy=False)
+    payloads = _gather(buf, payload[good], PAYLOAD_LEN).view(_PAYLOAD_DTYPE).reshape(-1)
     return CaptureFile(
-        csi=csi.reshape(-1, N_SUBCARRIERS, 2),
-        headers=np.ascontiguousarray(rows[:, :HEADER_LEN]).view(HEADER_DTYPE).reshape(-1),
+        csi=payloads["csi"].astype(np.int16),
+        headers=payloads["header"].copy(),
         ts_sec=records[good, 0],
         ts_usec=records[good, 1],
         source_path=path,
@@ -304,13 +268,33 @@ def read_capture(path: str, strict: bool = False, magic: int = CSI_MAGIC) -> Cap
     )
 
 
-def write_capture(frames: list[CsiFrame], path: str, port: int = CSI_UDP_PORT) -> None:
-    """Write frames as a little-endian classic PCAP accepted by read_capture."""
-    out = bytearray()
-    out += _GLOBAL_HEADER.pack(_PCAP_MAGIC, 2, 4, 0, 0, 65535, 1)
-    for frame in frames:
-        pkt = _wrap_packet(frame, port)
-        out += _RECORD_HEADER.pack(frame.ts_sec, frame.ts_usec, len(pkt), len(pkt))
-        out += pkt
+def write_capture(capture, path: str, port: int = CSI_UDP_PORT) -> None:
+    """Write the columns of a capture as a little-endian classic PCAP that
+    read_capture reads back.
+
+    ``capture`` holds ``csi``, ``headers``, ``ts_sec`` and ``ts_usec`` as
+    a CaptureFile does.  Each record is one packet with deterministic
+    Ethernet/IPv4/UDP headers, and all records go out as one block.
+    """
+    records = np.zeros(len(capture.csi), dtype=_RECORD_DTYPE)
+    records["ts_sec"] = capture.ts_sec
+    records["ts_usec"] = capture.ts_usec
+    records["incl_len"] = records["orig_len"] = _RECORD_DTYPE.itemsize - 16
+    records["eth_dst"] = b"\xff" * 6
+    records["eth_src"] = capture.headers["source_mac"]
+    records["ethertype"] = 0x0800
+    ip = records["ip"]
+    ip[["version_ihl", "total_len", "ttl", "protocol", "src", "dst"]] = (
+        0x45, _IPV4_DTYPE.itemsize + 8 + PAYLOAD_LEN, 64, 17, bytes((10,) * 4), b"\xff" * 4)
+    ip["ident"] = capture.headers["sequence_number"]
+    # The header checksum is the ones' complement of the ones'-complement
+    # sum of its ten words; two folds carry every overflow of such a sum.
+    total = np.ascontiguousarray(ip).view((">u2", 10)).sum(axis=1, dtype=np.uint32)
+    total = (total & 0xFFFF) + (total >> 16)
+    ip["checksum"] = ~((total & 0xFFFF) + (total >> 16)) & 0xFFFF
+    records["udp"] = (port, port, 8 + PAYLOAD_LEN, 0)
+    records["payload"]["header"] = capture.headers
+    records["payload"]["csi"] = capture.csi
     with open(path, "wb") as fh:
-        fh.write(out)
+        fh.write(_GLOBAL_HEADER.pack(_PCAP_MAGIC, 2, 4, 0, 0, 65535, 1))
+        fh.write(records.tobytes())

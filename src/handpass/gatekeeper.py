@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import socketserver
 import threading
@@ -24,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .codec import N_SUBCARRIERS, read_capture
+from .codec import N_SUBCARRIERS
 from .dataset import feature_names, features
 from .dsp import FittedScaler, SanitizerConfig, SubcarrierMask, fit_scaler
 from .errors import (
@@ -203,26 +202,6 @@ class AuditLog:
                 fh.write(json.dumps(record) + "\n")
                 fh.flush()
 
-    def read(self, start: int = 0, stop: int | None = None):
-        """Records [start:stop] plus warnings for undecodable lines.
-
-        A torn final line (crash mid-append) is reported as a warning,
-        never an exception.
-        """
-        records, warnings = [], []
-        if not os.path.exists(self.path):
-            return records, warnings
-        with open(self.path, "r", encoding="ascii", errors="replace") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.rstrip("\n")
-                if not stripped:
-                    continue
-                try:
-                    records.append(json.loads(stripped))
-                except json.JSONDecodeError:
-                    warnings.append(f"line {lineno}: undecodable record skipped")
-        return records[start:stop], warnings
-
 
 def _scaler_to_doc(s: FittedScaler) -> dict:
     return {"kind": s.kind, "a": s.a.tolist(), "b": s.b.tolist()}
@@ -292,10 +271,10 @@ def _error_code(exc: Exception) -> str:
 class AuthServer(socketserver.ThreadingTCPServer):
     """Line-delimited JSON request/response service around authenticate.
 
-    Requests: {"op": "authenticate", "capture": <pcap path>} or
-    {"op": "authenticate", "frames": [[re, im] x 256, ...]}, plus
-    optional window_seconds / threshold / permission.  Errors come back
-    in-band as {"ok": false, "error": {...}}; the connection survives.
+    Requests: {"op": "authenticate", "frames": [[re, im] x 256, ...]},
+    plus optional window_seconds / threshold / permission; a request that
+    names a capture file is refused.  Errors come back in-band as
+    {"ok": false, "error": {...}}; the connection survives.
     """
 
     allow_reuse_address = True
@@ -331,16 +310,12 @@ class _AuthHandler(socketserver.StreamRequestHandler):
         if store is None:
             return {"ok": False, "error": {"code": "not-ready",
                                            "message": "no enrollment store loaded"}}
-        if "capture" in req:
-            csi = read_capture(req["capture"]).csi
-        elif "frames" in req:
-            csi = _inline_csi(req["frames"])
-        else:
-            return {"ok": False, "error": {"code": "bad-request",
-                                           "message": "need capture or frames"}}
+        if "capture" in req or "frames" not in req:
+            return {"ok": False, "error": {"code": "bad-request", "message":
+                                           "need inline frames; no capture file is read"}}
         decision = authenticate(
             store,
-            csi,
+            _inline_csi(req["frames"]),
             window_seconds=req.get("window_seconds", DEFAULT_WINDOW_SECONDS),
             threshold=req.get("threshold", DEFAULT_THRESHOLD),
             permission=req.get("permission", DEFAULT_PERMISSION),

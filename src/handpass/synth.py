@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import CsiFrame, write_capture
+from .codec import CSI_MAGIC, HEADER_DTYPE, CaptureFile, write_capture
 from .dsp import fft_shift
 
 MANIFEST_FORMAT = "handpass-synth-manifest"
@@ -26,6 +26,7 @@ MANIFEST_NAME = "manifest.json"
 
 _CHANSPEC = 0xE22A
 _LOGICAL_K = np.arange(-128, 128, dtype=np.float64)
+_BLOCK = 4096  # frames whose samples are computed at once, bounding the temporaries
 
 
 @dataclass(frozen=True)
@@ -83,40 +84,36 @@ def _user_signature(cfg: SynthConfig, user_id: int):
     return amp, phase
 
 
-def _capture_frames(cfg: SynthConfig, user_id: int, capture_number: int) -> list:
+def _samples(cfg: SynthConfig, amp_u, phase_u, rng, n: int) -> np.ndarray:
+    """The (n, 256, 2) int16 samples of the next n frames of a capture."""
+    draws = np.empty((n, 3))
+    gauss = np.empty((n, 2, 256))
+    for t in range(n):  # each frame's draws, in the order that fixes the bytes
+        draws[t] = (rng.uniform(-cfg.ramp_range, cfg.ramp_range),
+                    rng.uniform(-cfg.offset_range, cfg.offset_range),
+                    rng.uniform(-cfg.gain_jitter, cfg.gain_jitter))
+        gauss[t] = rng.standard_normal((2, 256))
+    ramp, offset, jitter = draws.T[:, :, None]
+    noise = cfg.noise_sigma * (gauss[:, 0] + 1j * gauss[:, 1])
+    z = (1.0 + jitter) * amp_u * np.exp(1j * (phase_u + ramp * _LOGICAL_K + offset)) + noise
+    z = cfg.quant_scale * fft_shift(z)  # logical -> hardware order
+    return np.clip(np.rint(np.stack([z.real, z.imag], axis=-1)), -32768, 32767).astype(np.int16)
+
+
+def _capture(cfg: SynthConfig, user_id: int, capture_number: int) -> CaptureFile:
     amp_u, phase_u = _user_signature(cfg, user_id)
     rng = np.random.default_rng((cfg.seed, user_id, capture_number))
-    mac = bytes((0x02, 0x00, 0x00, 0x00, 0x00, user_id & 0xFF))
-    usec_step = 1_000_000 // cfg.packets_per_second
-    frames = []
-    for t in range(cfg.frames_per_capture):
-        ramp = rng.uniform(-cfg.ramp_range, cfg.ramp_range)
-        offset = rng.uniform(-cfg.offset_range, cfg.offset_range)
-        gain = 1.0 + rng.uniform(-cfg.gain_jitter, cfg.gain_jitter)
-        noise = cfg.noise_sigma * (
-            rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        )
-        z = gain * amp_u * np.exp(1j * (phase_u + ramp * _LOGICAL_K + offset)) + noise
-        z = cfg.quant_scale * fft_shift(z)  # logical -> hardware order
-        csi = np.empty((256, 2), dtype=np.int16)
-        csi[:, 0] = np.clip(np.rint(z.real), -32768, 32767).astype(np.int16)
-        csi[:, 1] = np.clip(np.rint(z.imag), -32768, 32767).astype(np.int16)
-        micros = t * usec_step
-        frames.append(
-            CsiFrame(
-                ts_sec=micros // 1_000_000,
-                ts_usec=micros % 1_000_000,
-                rssi=-40,
-                frame_control=0x80,
-                source_mac=mac,
-                sequence_number=t & 0xFFFF,
-                core_spatial=0,
-                chanspec=_CHANSPEC,
-                chip_version=0,
-                csi=csi,
-            )
-        )
-    return frames
+    n = cfg.frames_per_capture
+    csi = np.concatenate([_samples(cfg, amp_u, phase_u, rng, min(_BLOCK, n - lo))
+                          for lo in range(0, n, _BLOCK)])
+    t = np.arange(n)
+    headers = np.zeros(n, dtype=HEADER_DTYPE)
+    headers[["magic", "rssi", "frame_control", "source_mac", "chanspec"]] = (
+        CSI_MAGIC, -40, 0x80, bytes((0x02, 0x00, 0x00, 0x00, 0x00, user_id & 0xFF)), _CHANSPEC)
+    headers["sequence_number"] = t & 0xFFFF
+    micros = t * (1_000_000 // cfg.packets_per_second)
+    return CaptureFile(csi=csi, headers=headers, ts_sec=micros // 1_000_000,
+                       ts_usec=micros % 1_000_000, source_path=None, link_type=1)
 
 
 def generate(cfg: SynthConfig, out_dir) -> dict:
@@ -132,7 +129,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
             rel = os.path.join(f"user_{user_id:02d}", "Right", f"capture_{cap}.pcap")
             path = os.path.join(out_dir, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            write_capture(_capture_frames(cfg, user_id, cap), path)
+            write_capture(_capture(cfg, user_id, cap), path)
             captures.append(
                 {
                     "path": rel,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handpass.codec import CsiFrame
+from handpass.codec import HEADER_DTYPE, CaptureFile, CsiFrame
 
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts are visible without -s (see test_acceptance.report)
@@ -28,6 +28,22 @@ def random_frame(rng: np.random.Generator, ts: tuple = (0, 0)) -> CsiFrame:
         csi=rng.integers(-32768, 32768, size=(256, 2), dtype=np.int16),
         ts_sec=ts[0],
         ts_usec=ts[1],
+    )
+
+
+def capture_of(frames) -> CaptureFile:
+    """The columns of a capture holding ``frames``: their sample blocks,
+    headers and timestamps, row i being frame i."""
+    return CaptureFile(
+        csi=np.array([f.csi for f in frames], dtype=np.int16).reshape(-1, 256, 2),
+        headers=np.array([
+            (f.magic, f.rssi, f.frame_control, f.source_mac, f.sequence_number,
+             f.core_spatial, f.chanspec, f.chip_version) for f in frames
+        ], dtype=HEADER_DTYPE),
+        ts_sec=np.array([f.ts_sec for f in frames], dtype=np.uint32),
+        ts_usec=np.array([f.ts_usec for f in frames], dtype=np.uint32),
+        source_path=None,
+        link_type=1,
     )
 
 

@@ -1,15 +1,22 @@
-"""The benchmark's tracer wraps handpass functions by name; every name it
-patches must exist, or a traced run (``perfbench/run.py --trace 1``)
-fails before it measures anything."""
+"""The benchmark's contract with handpass.  Its tracer wraps handpass
+functions by name; every name it patches must exist, or a traced run
+(``perfbench/run.py --trace 1``) fails before it measures anything.  Its
+input step reads synth records at fixed byte offsets, so a writer that
+moves one byte must fail here rather than in a later benchmark run."""
 
+import json
 import os
 import sys
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
+import inputs  # noqa: E402
 import tracing  # noqa: E402
 
 from handpass import dataset, dsp  # noqa: E402
+from handpass.codec import read_capture  # noqa: E402
 from handpass.learners import forest, tree  # noqa: E402
 
 
@@ -29,3 +36,16 @@ def test_tracer_patches_every_name_and_restores_them():
     finally:
         tracer.unpatch()
     assert traced_names() == originals
+
+
+def test_input_step_reads_what_the_codec_reads(tmp_path):
+    for name, make in inputs.MAKERS.items():
+        make(1, str(tmp_path / name), inputs.TINY)
+    ingest = tmp_path / "ingest"
+    doc = json.loads((ingest / "inputs.json").read_text())
+    raw = np.load(ingest / "raw_csi.npy")
+    assert len(doc["captures"]) == len(raw) > 0
+    for entry, want in zip(doc["captures"], raw):
+        cap = read_capture(os.path.join(doc["corpus"], entry["path"]))
+        assert np.array_equal(cap.csi, want)
+        assert (cap.skipped_non_csi, cap.bad_csi) == (entry["strays"], entry["malformed"])

@@ -141,6 +141,14 @@ class TestDataset:
                   "--out", str(tmp_path / "scaled.csv"), "--scaler", "minmax"])
         assert exc.value.code == 2
 
+    def test_lam_flag_removed(self, clean_corpus, tmp_path):
+        # enroll stores the default sanitizer, so rows built under another
+        # ridge weight would be served under the wrong one
+        with pytest.raises(SystemExit) as exc:
+            main(["dataset", "--in", clean_corpus, "--slice", "D1",
+                  "--out", str(tmp_path / "lam.csv"), "--lam", "1000"])
+        assert exc.value.code == 2
+
 
 class TestCrossval:
     def test_noise_free_model_is_perfect(self, d1_csv, capsys):

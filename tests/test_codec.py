@@ -1,14 +1,18 @@
 import itertools
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from handpass.codec import (
     CSI_MAGIC,
     HEADER_DTYPE,
     HEADER_LEN,
     PAYLOAD_LEN,
+    CaptureFile,
     CsiFrame,
     decode_payload,
     encode_payload,
@@ -17,7 +21,7 @@ from handpass.codec import (
 )
 from handpass.errors import BadCsiPayload, MalformedPcapHeader, TruncatedRecord
 
-from conftest import random_frame
+from conftest import capture_of, random_frame
 
 MAC = bytes.fromhex("aabbccddeeff")
 
@@ -132,7 +136,7 @@ class TestReadCapture:
         rng = np.random.default_rng(99)
         frames = [random_frame(rng, ts=(i, i * 100)) for i in range(5)]
         p = tmp_path / "cap.pcap"
-        write_capture(frames, str(p))
+        write_capture(capture_of(frames), str(p))
         cap = read_capture(str(p))
         assert cap.link_type == 1
         assert cap.skipped_non_csi == 0 and cap.bad_csi == 0
@@ -143,7 +147,7 @@ class TestReadCapture:
         rng = np.random.default_rng(3)
         frames = [random_frame(rng)]
         p = tmp_path / "odd_port.pcap"
-        write_capture(frames, str(p), port=9999)
+        write_capture(capture_of(frames), str(p), port=9999)
         assert read_capture(str(p)).frames == frames
 
     def test_big_endian_header(self, tmp_path):
@@ -226,6 +230,80 @@ class TestReadCapture:
                 read_capture(str(p))
             except (MalformedPcapHeader, TruncatedRecord, BadCsiPayload):
                 pass
+
+
+# --- reference writer -----------------------------------------------------------
+# The per-frame writer that the record-array write_capture replaced: one
+# struct-packed packet per frame and a Python ones'-complement checksum.
+# write_capture must produce its bytes.
+
+def _reference_checksum(header: bytes) -> int:
+    total = sum(struct.unpack(">10H", header))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def reference_write(frames, port=5500) -> bytes:
+    out = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+    for frame in frames:
+        payload = encode_payload(frame)
+        udp = struct.pack(">HHHH", port, port, 8 + len(payload), 0) + payload
+        ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + len(udp), frame.sequence_number,
+                         0, 64, 17, 0, bytes((10, 10, 10, 10)), b"\xff" * 4)
+        ip = ip[:10] + struct.pack(">H", _reference_checksum(ip)) + ip[12:]
+        pkt = b"\xff" * 6 + frame.source_mac + b"\x08\x00" + ip + udp
+        out += struct.pack("<IIII", frame.ts_sec, frame.ts_usec, len(pkt), len(pkt)) + pkt
+    return out
+
+
+@st.composite
+def capture_columns(draw):
+    """The columns of 0-4 records: random samples (int16 extremes included),
+    random headers with the CSI magic, MACs that may end in NUL bytes and
+    timestamps over the whole uint32 range."""
+    n = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    csi = rng.integers(-32768, 32768, size=(n, 256, 2), dtype=np.int16)
+    headers = rng.integers(0, 256, size=(n, HEADER_LEN), dtype=np.uint8).view(HEADER_DTYPE)
+    headers = headers.reshape(n)
+    headers["magic"] = CSI_MAGIC
+    for i in range(n):
+        csi[i, draw(st.integers(0, 255))] = draw(st.sampled_from([-32768, 32767]))
+        nuls = draw(st.integers(0, 6))
+        headers["source_mac"][i] = headers["source_mac"][i].tobytes()[:6 - nuls] + b"\0" * nuls
+    stamps = st.lists(st.integers(0, 2 ** 32 - 1), min_size=n, max_size=n)
+    return CaptureFile(csi=csi, headers=headers,
+                       ts_sec=np.array(draw(stamps), dtype=np.uint32),
+                       ts_usec=np.array(draw(stamps), dtype=np.uint32),
+                       source_path=None, link_type=1)
+
+
+class TestWriteCapture:
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(capture_columns(), st.integers(0, 65535))
+    def test_columns_round_trip(self, tmp_path, columns, port):
+        path = str(tmp_path / "cap.pcap")
+        write_capture(columns, path, port=port)
+        cap = read_capture(path)
+        assert (cap.link_type, cap.skipped_non_csi, cap.bad_csi) == (1, 0, 0)
+        assert cap.csi.dtype == np.int16 and np.array_equal(cap.csi, columns.csi)
+        assert cap.headers.dtype == HEADER_DTYPE
+        assert cap.headers.tobytes() == columns.headers.tobytes()
+        assert cap.ts_sec.tolist() == columns.ts_sec.tolist()
+        assert cap.ts_usec.tolist() == columns.ts_usec.tolist()
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_write(columns.frames, port)
+
+    def test_rewriting_a_synth_capture_reproduces_its_bytes(self, small_corpus, tmp_path):
+        root, _, manifest = small_corpus
+        for entry in manifest["captures"]:
+            path = os.path.join(root, entry["path"])
+            again = tmp_path / "again.pcap"
+            write_capture(read_capture(path), str(again))
+            with open(path, "rb") as fh:
+                assert again.read_bytes() == fh.read()
 
 
 # --- reference reader -----------------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_frame
-from handpass.codec import HEADER_DTYPE, CaptureFile, CsiFrame
+from conftest import capture_of, random_frame
+from handpass.codec import CsiFrame
 from handpass.dataset import (
     META_COLUMNS,
     SLICE_DEFS,
@@ -19,19 +19,6 @@ from handpass.dsp import SubcarrierMask
 from handpass.errors import InsufficientRows, RaggedRows
 
 META = CaptureMeta(capture_number=1, gender="M", hand="Right", user_id=3)
-
-
-def capture_of(frames):
-    """A capture holding the sample blocks of ``frames`` (headers left zero)."""
-    n = len(frames)
-    return CaptureFile(
-        csi=np.array([f.csi for f in frames], dtype=np.int16).reshape(n, 256, 2),
-        headers=np.zeros(n, dtype=HEADER_DTYPE),
-        ts_sec=np.zeros(n, dtype=np.uint32),
-        ts_usec=np.zeros(n, dtype=np.uint32),
-        source_path=None,
-        link_type=1,
-    )
 
 
 def flat_row(width, user, cap, idx, hand="Right"):

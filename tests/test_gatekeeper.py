@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handpass import gatekeeper, synth
-from handpass.codec import CsiFrame, read_capture
+from handpass.codec import CsiFrame, read_capture, write_capture
 from handpass.dataset import CaptureMeta, build_rows
 from handpass.errors import (
     BadPolicy,
@@ -281,44 +281,28 @@ def decision(uid=1, verdict="Grant", reason="ok"):
     )
 
 
+def audit_records(log: AuditLog) -> list:
+    """The records of an audit log, one JSON document per line."""
+    with open(log.path, encoding="ascii") as fh:
+        return [json.loads(line) for line in fh]
+
+
 class TestAuditLog:
     def test_appends_in_order(self, tmp_path):
         log = AuditLog(tmp_path / "audit.jsonl")
         for uid in (1, 2, 3):
             log.append(decision(uid))
-        records, warnings = log.read()
-        assert warnings == []
+        records = audit_records(log)
         assert [r["user_id"] for r in records] == [1, 2, 3]
         ts = [r["ts"] for r in records]
         assert ts == sorted(ts) and len(set(ts)) == 3
-
-    def test_range_read(self, tmp_path):
-        log = AuditLog(tmp_path / "audit.jsonl")
-        for uid in range(1, 6):
-            log.append(decision(uid))
-        records, _ = log.read(start=1, stop=3)
-        assert [r["user_id"] for r in records] == [2, 3]
-
-    def test_missing_file_reads_empty(self, tmp_path):
-        records, warnings = AuditLog(tmp_path / "nope.jsonl").read()
-        assert records == [] and warnings == []
-
-    def test_torn_line_is_a_warning(self, tmp_path):
-        path = tmp_path / "audit.jsonl"
-        log = AuditLog(path)
-        log.append(decision(1))
-        with open(path, "a") as fh:
-            fh.write('{"ts": 12.5, "user_id"')  # crash mid-append
-        records, warnings = log.read()
-        assert [r["user_id"] for r in records] == [1]
-        assert len(warnings) == 1 and "skipped" in warnings[0]
 
     def test_timestamps_monotonic_under_frozen_clock(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gatekeeper.time, "time", lambda: 1234.5)
         log = AuditLog(tmp_path / "audit.jsonl")
         for uid in (1, 2, 3):
             log.append(decision(uid))
-        ts = [r["ts"] for r in log.read()[0]]
+        ts = [r["ts"] for r in audit_records(log)]
         assert ts[0] == 1234.5
         assert ts[0] < ts[1] < ts[2]
 
@@ -326,7 +310,7 @@ class TestAuditLog:
         store, probes, _ = auth_env
         log = AuditLog(tmp_path / "audit.jsonl")
         d = authenticate(store, probes[2][:20], log=log)
-        records, _ = log.read()
+        records = audit_records(log)
         assert len(records) == 1
         assert records[0]["decision"] == d.decision
         assert records[0]["user_id"] == d.user_id
@@ -352,7 +336,7 @@ class TestPolicy:
         log = AuditLog(tmp_path / "audit.jsonl")
         with pytest.raises(BadPolicy):
             authenticate(store, probes[2][:20], threshold=float("nan"), log=log)
-        assert log.read() == ([], [])
+        assert not os.path.exists(log.path)
 
     def test_finite_thresholds_from_zero_up_accepted(self, auth_env):
         store, probes, _ = auth_env
@@ -392,13 +376,22 @@ def ask(addr, *payloads):
 
 
 class TestServer:
-    def test_capture_path_flow(self, auth_env):
-        store, _, probe_paths = auth_env
+    def test_capture_op_refused(self, auth_env):
+        # a request used to name a server-side file, which the service
+        # then read to EOF; now only inline frames are served
+        store, probes, probe_paths = auth_env
+        frames = probes[2][:20].tolist()
         with running(store) as addr:
-            (reply,) = ask(addr, {"op": "authenticate", "capture": probe_paths[2]})
-        assert reply["ok"] is True
-        assert reply["decision"]["decision"] == "Grant"
-        assert reply["decision"]["user_id"] == 2
+            alone, with_frames, intact = ask(
+                addr,
+                {"op": "authenticate", "capture": probe_paths[2]},
+                {"op": "authenticate", "capture": probe_paths[2], "frames": frames},
+                {"op": "authenticate", "frames": frames},
+            )
+        for reply in (alone, with_frames):
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "bad-request"
+        assert intact["decision"]["user_id"] == 2
 
     def test_inline_frames_flow(self, auth_env):
         store, probes, _ = auth_env
@@ -485,8 +478,7 @@ class TestServer:
             )
         assert strict["decision"]["decision"] == "Deny"
         assert lenient["decision"]["decision"] == "Grant"
-        records, _ = log.read()
-        assert [r["decision"] for r in records] == ["Deny", "Grant"]
+        assert [r["decision"] for r in audit_records(log)] == ["Deny", "Grant"]
 
     def test_out_of_policy_values_reported_in_band(self, auth_env):
         store, probes, _ = auth_env
@@ -513,9 +505,10 @@ class TestServer:
 
 class TestNoPerFrameObjects:
     """The hot paths move whole blocks: with CsiFrame unconstructible,
-    reading, feature rows, authenticate and both request kinds still work."""
+    synthesis, writing, reading, feature rows, authenticate and inline
+    requests still work."""
 
-    def test_hot_paths_build_no_frames(self, auth_env, monkeypatch):
+    def test_hot_paths_build_no_frames(self, auth_env, monkeypatch, tmp_path):
         store, probes, probe_paths = auth_env
 
         def refuse(self):
@@ -524,19 +517,17 @@ class TestNoPerFrameObjects:
         monkeypatch.setattr(CsiFrame, "__post_init__", refuse)
         with pytest.raises(AssertionError):
             CsiFrame()
-        cap = read_capture(probe_paths[2])
+        synth.generate(synth.SynthConfig(users=1, captures_per_user=1, frames_per_capture=5),
+                       tmp_path)
+        write_capture(read_capture(probe_paths[2]), str(tmp_path / "again.pcap"))
+        cap = read_capture(str(tmp_path / "again.pcap"))
         meta = CaptureMeta(capture_number=2, gender="M", hand="Right", user_id=2)
         rows, _ = build_rows(cap, meta)
         assert len(rows) == len(cap.csi)
         assert authenticate(store, cap.csi[:20]).decision == "Grant"
         with running(store) as addr:
-            inline, capture = ask(
-                addr,
-                {"op": "authenticate", "frames": probes[2][:20].tolist()},
-                {"op": "authenticate", "capture": probe_paths[2]},
-            )
-        assert inline["ok"] is True and capture["ok"] is True
-        assert inline["decision"]["user_id"] == capture["decision"]["user_id"] == 2
+            (inline,) = ask(addr, {"op": "authenticate", "frames": probes[2][:20].tolist()})
+        assert inline["ok"] is True and inline["decision"]["user_id"] == 2
 
 
 def reference_block(frames):

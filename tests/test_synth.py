@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -43,6 +44,24 @@ def matrix_from(manifest, root, prune=True):
     return FeatureMatrix.from_rows(rows, feature_names(prune=prune))
 
 
+def corpus_digest(root) -> str:
+    """sha256 over every file of a corpus: each relative path, then its
+    bytes, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+# A corpus whose samples partly clip and whose timestamps cross a second,
+# and its corpus_digest as the per-frame writer (one struct-packed record
+# at a time) made it.
+GOLDEN_CONFIG = dict(users=2, captures_per_user=2, frames_per_capture=25,
+                     packets_per_second=20, quant_scale=20000.0, seed=2026)
+GOLDEN_DIGEST = "42b1809291fdbffc2925210bf70cc9e15da3e970bc86faea9bb84f487e08d1d8"
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,6 +102,12 @@ class TestGenerate:
         assert (a / synth.MANIFEST_NAME).read_bytes() == (
             b / synth.MANIFEST_NAME
         ).read_bytes()
+
+    def test_golden_corpus_bytes(self, tmp_path):
+        manifest = synth.generate(synth.SynthConfig(**GOLDEN_CONFIG), tmp_path)
+        cap = read_capture(tmp_path / manifest["captures"][0]["path"])
+        assert 0 < np.isin(cap.csi, (-32768, 32767)).sum() < cap.csi.size // 2
+        assert corpus_digest(tmp_path) == GOLDEN_DIGEST
 
     def test_different_seed_changes_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
