@@ -274,8 +274,14 @@ def write_capture(capture, path: str, port: int = CSI_UDP_PORT) -> None:
 
     ``capture`` holds ``csi``, ``headers``, ``ts_sec`` and ``ts_usec`` as
     a CaptureFile does.  Each record is one packet with deterministic
-    Ethernet/IPv4/UDP headers, and all records go out as one block.
+    Ethernet/IPv4/UDP headers, and all records go out as one block.  A
+    timestamp outside the record header's uint32 raises ValueError before
+    the file is opened.
     """
+    for name in ("ts_sec", "ts_usec"):
+        column = np.asarray(getattr(capture, name))
+        if column.size and not (0 <= column.min() and column.max() < 2**32):
+            raise ValueError(f"{name} outside the uint32 range of a PCAP record header")
     records = np.zeros(len(capture.csi), dtype=_RECORD_DTYPE)
     records["ts_sec"] = capture.ts_sec
     records["ts_usec"] = capture.ts_usec

@@ -43,6 +43,14 @@ MIN_ENROLL_FRAMES = 100
 DEFAULT_THRESHOLD = 0.6
 DEFAULT_WINDOW_SECONDS = 1.0
 DEFAULT_PERMISSION = "enter"
+# The longest request the service reads: 10 s of frames at the paper's
+# 1000 pkt/s, each frame at its widest ``json.dumps`` encoding (every
+# sample -32768, plus the ", " before the next frame), and 64 KiB for
+# the other fields.  A longer line is refused and its connection closed.
+MAX_REQUEST_FRAMES = 10_000
+MAX_REQUEST_BYTES = (
+    MAX_REQUEST_FRAMES * (len(json.dumps([[-32768, -32768]] * N_SUBCARRIERS)) + 2) + 65536
+)
 
 
 @dataclass
@@ -274,7 +282,8 @@ class AuthServer(socketserver.ThreadingTCPServer):
     Requests: {"op": "authenticate", "frames": [[re, im] x 256, ...]},
     plus optional window_seconds / threshold / permission; a request that
     names a capture file is refused.  Errors come back in-band as
-    {"ok": false, "error": {...}}; the connection survives.
+    {"ok": false, "error": {...}}; the connection survives, except after
+    a line longer than MAX_REQUEST_BYTES, whose rest is never read.
     """
 
     allow_reuse_address = True
@@ -288,19 +297,29 @@ class AuthServer(socketserver.ThreadingTCPServer):
 
 class _AuthHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
-            try:
-                reply = self._one_request(raw)
-            except HandpassError as exc:
-                reply = {"ok": False, "error": {"code": _error_code(exc), "message": str(exc)}}
-            except Exception as exc:  # malformed input must never kill the server
-                reply = {"ok": False, "error": {"code": "bad-request", "message": str(exc)}}
-            self.wfile.write((json.dumps(reply) + "\n").encode("ascii"))
-            self.wfile.flush()
+        while raw := self.rfile.readline(MAX_REQUEST_BYTES):
+            if len(raw) == MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
+                # the rest of the line is never read, so the connection ends
+                self._send({"ok": False, "error": {"code": "bad-request", "message":
+                            f"request line exceeds {MAX_REQUEST_BYTES} bytes"}})
+                return
+            self._send(self._answer(raw))
+
+    def _send(self, reply: dict) -> None:
+        self.wfile.write((json.dumps(reply) + "\n").encode("ascii"))
+        self.wfile.flush()
+
+    def _answer(self, raw: bytes) -> dict:
+        try:
+            return self._one_request(raw)
+        except HandpassError as exc:
+            return {"ok": False, "error": {"code": _error_code(exc), "message": str(exc)}}
+        except Exception as exc:  # malformed input must never kill the server
+            return {"ok": False, "error": {"code": "bad-request", "message": str(exc)}}
 
     def _one_request(self, raw: bytes) -> dict:
         try:
-            req = json.loads(raw.decode("utf-8"))
+            req, csi = _read_request(raw)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return {"ok": False, "error": {"code": "bad-request", "message": str(exc)}}
         if not isinstance(req, dict) or req.get("op") != "authenticate":
@@ -315,13 +334,24 @@ class _AuthHandler(socketserver.StreamRequestHandler):
                                            "need inline frames; no capture file is read"}}
         decision = authenticate(
             store,
-            _inline_csi(req["frames"]),
+            _inline_csi(req["frames"]) if csi is None else csi,
             window_seconds=req.get("window_seconds", DEFAULT_WINDOW_SECONDS),
             threshold=req.get("threshold", DEFAULT_THRESHOLD),
             permission=req.get("permission", DEFAULT_PERMISSION),
             log=self.server.log,
         )
         return {"ok": True, "decision": asdict(decision)}
+
+
+def _read_request(raw: bytes) -> tuple:
+    """Decode one request line into its JSON value and, when its frames
+    took the fast path, their (n, 256, 2) int16 block.  Any other line
+    is parsed whole by ``json.loads`` and comes back with block None:
+    its frames, if any, are still the JSON value for ``_inline_csi``."""
+    fast = _canonical_frames(raw)
+    if fast is not None:
+        return fast
+    return json.loads(raw.decode("utf-8")), None
 
 
 def _lists_of(items, length: int) -> bool:
@@ -352,6 +382,86 @@ def _inline_csi(frames) -> np.ndarray:
     except OverflowError as exc:
         raise ValueError("inline frame values exceed int16 range") from exc
     return np.frombuffer(samples, dtype=np.short).reshape(-1, N_SUBCARRIERS, 2)
+
+
+# The fast path's grammar for a ``frames`` value: frames of 256 [re, im]
+# pairs, samples of the form -?(0|[1-9][0-9]*), JSON whitespace between
+# any two tokens.  _FRAME is one frame with the samples and whitespace
+# taken out.
+_FRAMES_KEY = re.compile(rb'"frames"[ \t\n\r]*:[ \t\n\r]*\[')
+_WHITESPACE = b" \t\n\r"
+_FRAME = b"[" + b",".join([b"[,]"] * N_SUBCARRIERS) + b"]"
+_OPEN, _COMMA, _CLOSE, _MINUS, _ZERO = b"[,]-0"
+_PLACEHOLDER = object()
+_CONSTANTS = {"NaN": math.nan, "-Infinity": -math.inf, "Infinity": _PLACEHOLDER}.__getitem__
+
+
+def _canonical_frames(raw: bytes) -> tuple | None:
+    """The fast path of ``_read_request``: the line's JSON value, with the
+    int16 block of its ``frames`` array parsed straight from the bytes.
+
+    The array is located after the first ``"frames":`` key and checked
+    with C-level byte operations and numpy comparisons: its brackets and
+    commas must be those of n frames of 256 pairs, every pair slot must
+    hold one JSON integer of at most five digits (a leading minus, no
+    leading zero, no whitespace inside it) and nothing else may sit
+    between brackets.  ``np.fromstring`` then parses the integers, which
+    must fit int16.  The rest of the line, with the array replaced by the
+    only ``Infinity`` in it, goes through ``json.loads``, which decodes
+    that literal to a private placeholder (not inf: ``1e999`` decodes to
+    inf too).  The array is the request's frames exactly when the
+    top-level ``"frames"`` is that placeholder.  That refuses a duplicate
+    key (json.loads keeps the last), a nested or escaped ``frames`` key
+    and an array inside a string.  Every refusal returns None and leaves
+    the line to the general path, so the replies never differ.
+    """
+    key = _FRAMES_KEY.search(raw)
+    if key is None:
+        return None
+    lo = key.end() - 1
+    # the array holds no quote or brace; it ends at the last "]" before one
+    stop = min((i for i in (raw.find(b'"', lo), raw.find(b"}", lo)) if i >= 0),
+               default=len(raw))
+    hi = raw.rfind(b"]", lo, stop) + 1
+    span = raw[lo:hi]
+    packed = span.translate(None, _WHITESPACE)
+    skeleton = packed.translate(None, b"-0123456789")
+    n, odd = divmod(len(skeleton) - 1, len(_FRAME) + 1)
+    if odd or not n or skeleton != b"[" + b",".join([_FRAME] * n) + b"]":
+        return None
+    t = np.frombuffer(packed, np.uint8)
+    digit = (t - ord("0")) < 10
+    number = digit | (t == _MINUS)
+    x, y = t[:-1], t[1:]
+    bad = ((x == _OPEN) & (y == _COMMA)) | ((x == _COMMA) & (y == _CLOSE))  # empty slot
+    bad |= (number[:-1] & (y == _OPEN)) | ((x == _CLOSE) & number[1:])     # outside a pair
+    bad |= ((y == _MINUS) & number[:-1]) | ((x == _MINUS) & ~digit[1:])     # stray minus
+    bad[1:] |= (t[1:-1] == _ZERO) & ~digit[:-2] & digit[2:]                # leading zero
+    six = digit[5:] & digit[4:-1] & digit[3:-2] & digit[2:-3] & digit[1:-4] & digit[:-5]
+    if bad.any() or six.any():
+        return None
+    # each slot holds one run of number bytes; whitespace inside a number
+    # would split it into more runs than slots in the unpacked span
+    spread = np.frombuffer(span, np.uint8)
+    in_number = (spread == _MINUS) | ((spread - ord("0")) < 10)
+    if np.count_nonzero(in_number[1:] > in_number[:-1]) != 2 * N_SUBCARRIERS * n:
+        return None
+    try:
+        values = np.fromstring(packed.translate(None, b"[]"), dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    if values.size != 2 * N_SUBCARRIERS * n or values.min() < -32768 or values.max() > 32767:
+        return None
+    rest = raw[:lo] + b"Infinity" + raw[hi:]
+    if rest.count(b"Infinity") != 1:
+        return None
+    try:
+        req = json.loads(rest.decode("utf-8"), parse_constant=_CONSTANTS)
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError too
+        return None
+    if type(req) is not dict or req.get("frames") is not _PLACEHOLDER:
+        return None
+    return req, values.astype(np.int16).reshape(n, N_SUBCARRIERS, 2)
 
 
 def serve(store: EnrollmentStore | None, host: str = "127.0.0.1", port: int = 5501,

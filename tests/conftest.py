@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from handpass import gatekeeper
 from handpass.codec import HEADER_DTYPE, CaptureFile, CsiFrame
 
 # one line per acceptance criterion, echoed after the test summary so the
@@ -45,6 +48,22 @@ def capture_of(frames) -> CaptureFile:
         source_path=None,
         link_type=1,
     )
+
+
+def decodes_like_reference(raw: bytes) -> bool:
+    """Whether the fast path took the line; if it did, json.loads +
+    _inline_csi must accept it too, with an equal block and equal fields."""
+    fast = gatekeeper._canonical_frames(raw)
+    if fast is None:
+        return False
+    req, block = fast
+    want = json.loads(raw.decode("utf-8"))
+    want_block = gatekeeper._inline_csi(want.pop("frames"))
+    req.pop("frames")
+    assert repr(req) == repr(want)  # repr: NaN fields compare equal
+    assert block.dtype == np.int16 and block.shape == want_block.shape
+    assert np.array_equal(block, want_block)
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@
 functions by name; every name it patches must exist, or a traced run
 (``perfbench/run.py --trace 1``) fails before it measures anything.  Its
 input step reads synth records at fixed byte offsets, so a writer that
-moves one byte must fail here rather than in a later benchmark run."""
+moves one byte must fail here rather than in a later benchmark run.  Its
+gate requests must take the service's fast decode path, or the gate
+workload would time the general path instead."""
 
 import json
 import os
@@ -18,6 +20,8 @@ import tracing  # noqa: E402
 from handpass import dataset, dsp  # noqa: E402
 from handpass.codec import read_capture  # noqa: E402
 from handpass.learners import forest, tree  # noqa: E402
+
+from conftest import decodes_like_reference  # noqa: E402
 
 
 def traced_names():
@@ -49,3 +53,7 @@ def test_input_step_reads_what_the_codec_reads(tmp_path):
         cap = read_capture(os.path.join(doc["corpus"], entry["path"]))
         assert np.array_equal(cap.csi, want)
         assert (cap.skipped_non_csi, cap.bad_csi) == (entry["strays"], entry["malformed"])
+    with open(tmp_path / "gate" / "requests.jsonl", "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    assert lines
+    assert all(decodes_like_reference(line) for line in lines)

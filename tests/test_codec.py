@@ -305,6 +305,17 @@ class TestWriteCapture:
             with open(path, "rb") as fh:
                 assert again.read_bytes() == fh.read()
 
+    @pytest.mark.parametrize("column, value", [("ts_sec", 2 ** 32 + 5), ("ts_usec", -1)])
+    def test_timestamp_outside_uint32_refused(self, tmp_path, column, value):
+        # numpy would wrap these to 5 and 4294967295 in the record header
+        rng = np.random.default_rng(12)
+        capture = capture_of([random_frame(rng, (7, 8)), random_frame(rng, (9, 10))])
+        setattr(capture, column, np.array([3, value], dtype=np.int64))
+        path = tmp_path / "cap.pcap"
+        with pytest.raises(ValueError, match=column):
+            write_capture(capture, str(path))
+        assert not path.exists()
+
 
 # --- reference reader -----------------------------------------------------------
 # The per-record reader that the columnar read_capture replaced: one Python

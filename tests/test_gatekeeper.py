@@ -4,6 +4,8 @@ import json
 import os
 import socket
 import threading
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from handpass.gatekeeper import (
     serve,
 )
 from handpass.learners import HyperParams
+
+from conftest import decodes_like_reference
 
 
 def zero_frames(n):
@@ -604,3 +608,251 @@ class TestInlineDecode:
         frames[0, :, 1] = 32767
         assert np.array_equal(gatekeeper._inline_csi(frames.tolist()), frames)
         assert gatekeeper._inline_csi([]).shape == (0, 256, 2)
+
+
+# --- request decode: the fast path against json.loads + _inline_csi ------------
+
+def answer(store, raw: bytes, fast: bool = True) -> dict:
+    """The service's reply to one request line; with fast=False the line
+    goes through json.loads and _inline_csi alone."""
+    handler = object.__new__(gatekeeper._AuthHandler)
+    handler.server = types.SimpleNamespace(store=store, log=None)
+    if fast:
+        return handler._answer(raw)
+    with mock.patch.object(gatekeeper, "_canonical_frames", lambda raw: None):
+        return handler._answer(raw)
+
+
+def agrees_with_reference(store, raw: bytes) -> bool:
+    took = decodes_like_reference(raw)
+    assert answer(store, raw) == answer(store, raw, fast=False)
+    return took
+
+
+@pytest.fixture(scope="module")
+def one_frame_store(auth_env):
+    """The test store at 1 pkt/s: a window of one frame is decided, so a
+    reply depends on every sample of a short request."""
+    return dataclasses.replace(auth_env[0], packets_per_second=1)
+
+
+def request_line(frames, separators=(", ", ": "), **fields) -> bytes:
+    req = {"op": "authenticate", "frames": frames, **fields}
+    return json.dumps(req, separators=separators).encode() + b"\n"
+
+
+_NOISE_BYTES = (st.sampled_from(list(b'0123456789-+.eE,[]{}" \t\n\r:INaftru\\'))
+                | st.integers(0, 255))
+
+
+def mutate(raw: bytes, edits) -> bytes:
+    """Apply (position, kind, byte) edits: replace, insert or delete."""
+    out = bytearray(raw)
+    for at, kind, byte in edits:
+        at %= len(out) + 1
+        if kind == "insert":
+            out[at:at] = bytes([byte])
+        elif at < len(out):
+            out[at:at + 1] = b"" if kind == "delete" else bytes([byte])
+    return bytes(out)
+
+
+@st.composite
+def request_lines(draw):
+    """json.dumps lines of 0-4 random frames in three separator styles,
+    with or without whitespace around every token, then 0-3 byte edits."""
+    n = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    high = draw(st.sampled_from([2, 100, 32768]))  # small samples make 0 and -0 common
+    fields = draw(st.sampled_from([{}, {"threshold": 0.5}, {"threshold": float("nan")},
+                                   {"window_seconds": 1.0, "permission": "enter"}]))
+    req = {"op": "authenticate", "frames": rng.integers(-high, high, size=(n, 256, 2)).tolist(),
+           **fields}
+    line = json.dumps(req, indent=draw(st.sampled_from([None, 0, "\t", " \r\n"])),
+                      separators=draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", " :")])))
+    edits = draw(st.lists(st.tuples(st.integers(0, 2 ** 20),
+                                    st.sampled_from(["replace", "insert", "delete"]),
+                                    _NOISE_BYTES), max_size=3))
+    return mutate(line.encode() + b"\n", edits)
+
+
+def fuzz_against_reference(seed: int, count: int) -> tuple:
+    """Random byte edits of 2-frame lines, each checked against the
+    reference decode; returns (fast-path accepts, fallbacks)."""
+    rng = np.random.default_rng(seed)
+    b, c = (rng.integers(-40, 40, size=(2, 256, 2)).tolist() for _ in range(2))
+    frames = json.dumps(b)
+    bases = [
+        request_line(b), request_line(b, separators=(",", ":")),
+        request_line(b, threshold=0.5),
+        b'{"op": "authenticate", "frames": %s, "frames": %s}\n' % (frames.encode(),
+                                                                   json.dumps(c).encode()),
+        b'{"op": "authenticate", "fr\\u0061mes": %s}\n' % frames.encode(),
+        b'{"meta": {"frames": %s}, "op": "authenticate", "frames": %s}\n' % (
+            json.dumps(c).encode(), frames.encode()),
+    ]
+    alphabet = list(b'0123456789-+.eE,[]{}" \t\n\r:INaf\\')
+    took = 0
+    for _ in range(count):
+        raw = bases[rng.integers(len(bases))]
+        edits = [(int(rng.integers(len(raw) + 1)), ("replace", "insert", "delete")[rng.integers(3)],
+                  int(rng.choice(alphabet)) if rng.random() < 0.8 else int(rng.integers(256)))
+                 for _ in range(rng.integers(1, 4))]
+        took += decodes_like_reference(mutate(raw, edits))
+    return took, count - took
+
+
+class TestFastDecode:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(request_lines())
+    def test_replies_match_reference(self, one_frame_store, raw):
+        agrees_with_reference(one_frame_store, raw)
+
+    def test_seeded_byte_edits_match_reference(self):
+        took, fell_back = fuzz_against_reference(seed=10, count=10_000)
+        assert took > 500 and fell_back > 5000  # both paths are exercised
+
+    @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_plain_dumps_lines_take_the_fast_path(self, one_frame_store, separators, n):
+        block = np.random.default_rng(n).integers(-32768, 32768, size=(n, 256, 2))
+        block[0, :2] = [[-32768, 32767], [0, 0]]
+        for fields in ({}, {"threshold": float("nan")}):
+            raw = request_line(block.tolist(), separators, **fields)
+            assert agrees_with_reference(one_frame_store, raw)
+            _, csi = gatekeeper._read_request(raw)
+            assert np.array_equal(csi, block)
+
+
+def _frames(seed=0, n=2, high=40):
+    return np.random.default_rng(seed).integers(-high, high, size=(n, 256, 2)).tolist()
+
+
+def _with_first_pair(text: str) -> bytes:
+    """A 2-frame request whose first [re, im] pair is written as ``text``."""
+    frames = json.dumps(_frames())
+    return b'{"op": "authenticate", "frames": [[%s%s}\n' % (
+        text.encode(), frames[frames.index("]") + 1:].encode())
+
+
+B, C = json.dumps(_frames(1)), json.dumps(_frames(2))
+
+# (line, whether the fast path takes it)
+NAMED_LINES = {
+    "plain": (request_line(_frames(1)), True),
+    "duplicate key, last wins": (
+        b'{"op": "authenticate", "frames": %s, "frames": %s}' % (B.encode(), C.encode()), False),
+    "escaped key": (b'{"op": "authenticate", "fr\\u0061mes": %s}' % B.encode(), False),
+    "nested key before": (
+        b'{"meta": {"frames": %s}, "op": "authenticate", "frames": %s}' % (C.encode(), B.encode()),
+        False),
+    "nested key after": (
+        b'{"op": "authenticate", "frames": %s, "meta": {"frames": %s}}' % (B.encode(), C.encode()),
+        True),
+    "key ending in an escaped quote": (b'{"op": "authenticate", "x\\"frames": %s}' % B.encode(),
+                                       False),
+    "frames in a string": (b'{"op": "authenticate", "note": "\\"frames\\": %s"}' % B.encode(),
+                           False),
+    "1e999 frames, nested array": (
+        b'{"op": "authenticate", "frames": 1e999, "meta": {"frames": %s}}' % B.encode(), False),
+    "Infinity threshold": (b'{"op": "authenticate", "frames": %s, "threshold": Infinity}'
+                           % B.encode(), False),
+    "-Infinity threshold": (b'{"op": "authenticate", "frames": %s, "threshold": -Infinity}'
+                            % B.encode(), False),
+    "NaN threshold": (b'{"op": "authenticate", "frames": %s, "threshold": NaN}' % B.encode(),
+                      True),
+    "Infinity in a string": (b'{"op": "authenticate", "frames": %s, "note": "Infinity"}'
+                             % B.encode(), False),
+    "not JSON after the frames": (b'{"op": "authenticate", "frames": %s 5}' % B.encode(), False),
+    "trailing comma": (b'{"op": "authenticate", "frames": %s,}' % B.encode(), False),
+    "unclosed": (b'{"op": "authenticate", "frames": %s' % B.encode(), False),
+    "wrong op": (b'{"op": "enroll", "frames": %s}' % B.encode(), True),
+    "capture key": (b'{"op": "authenticate", "frames": %s, "capture": "x"}' % B.encode(), True),
+    "top level array": (b'[{"op": "authenticate", "frames": %s}]' % B.encode(), False),
+    "minus zero": (_with_first_pair("[-0, 7]"), True),
+    "zero": (_with_first_pair("[0, 7]"), True),
+    "leading zero": (_with_first_pair("[01, 7]"), False),
+    "minus leading zero": (_with_first_pair("[-01, 7]"), False),
+    "double zero": (_with_first_pair("[00, 7]"), False),
+    "two numbers in a slot": (_with_first_pair("[1 2, 7]"), False),
+    "minus then space": (_with_first_pair("[- 5, 7]"), False),
+    "bare minus": (_with_first_pair("[-, 7]"), False),
+    "double minus": (_with_first_pair("[--5, 7]"), False),
+    "inner minus": (_with_first_pair("[5-5, 7]"), False),
+    "plus sign": (_with_first_pair("[+5, 7]"), False),
+    "empty slot": (_with_first_pair("[, 7]"), False),
+    "number after a pair": (_with_first_pair("[1,2]3"), False),
+    "number before a pair": (_with_first_pair("3[1,2]"), False),
+    "32768": (_with_first_pair("[32768, 7]"), False),
+    "-32769": (_with_first_pair("[-32769, 7]"), False),
+    "int16 extremes": (_with_first_pair("[-32768,32767]"), True),
+    "six digits": (_with_first_pair("[100000, 7]"), False),
+    "beyond int64": (_with_first_pair("[99999999999999999999, 7]"), False),
+    "below int64": (_with_first_pair("[-99999999999999999999, 7]"), False),
+    "true sample": (_with_first_pair("[true, 7]"), False),
+    "1.0 sample": (_with_first_pair("[1.0, 7]"), False),
+    "1e2 sample": (_with_first_pair("[1e2, 7]"), False),
+    "empty frames": (request_line([]), False),
+    "one pair short": (request_line([_frames()[0][:255]]), False),
+    "three samples": (_with_first_pair("[1, 2, 3]"), False),
+    "spaced tokens": (b' {\t"op" :"authenticate" ,\r\n"frames"\n:\t%s } ' % json.dumps(
+        _frames(1), indent="\t ", separators=(" ,\r\n", " :")).encode(), True),
+    "not UTF-8 before the frames": (b'{"op": "authenticate", "note": "\xff", "frames": %s}'
+                                    % B.encode(), False),
+    "not UTF-8 after the frames": (b'{"op": "authenticate", "frames": %s, "note": "\xc3"}'
+                                   % B.encode(), False),
+    "UTF-8 text": (b'{"op": "authenticate", "frames": %s, "note": "\xc3\xa9"}' % B.encode(),
+                   True),
+    "BOM": (b"\xef\xbb\xbf" + request_line(_frames(1)), False),
+}
+
+
+class TestFastDecodeNamedCases:
+    @pytest.mark.parametrize("name", list(NAMED_LINES))
+    def test_reply_matches_reference(self, one_frame_store, name):
+        raw, fast = NAMED_LINES[name]
+        assert agrees_with_reference(one_frame_store, raw) is fast
+
+    def test_duplicate_key_decides_on_the_last(self, one_frame_store):
+        raw, _ = NAMED_LINES["duplicate key, last wins"]
+        last_only = b'{"op": "authenticate", "frames": %s}' % C.encode()
+        assert answer(one_frame_store, raw) == answer(one_frame_store, last_only)
+
+    def test_named_lines_cover_each_outcome(self, one_frame_store):
+        codes = {answer(one_frame_store, raw).get("error", {}).get("code", "ok")
+                 for raw, _ in NAMED_LINES.values()}
+        assert codes == {"ok", "bad-request", "bad-policy", "window-too-short"}
+
+
+class TestRequestLineLimit:
+    def test_limit_holds_the_widest_request(self):
+        def width(n):
+            return len(request_line(np.full((n, 256, 2), -32768).tolist(), threshold=0.6))
+        widest = width(1) + (width(2) - width(1)) * (gatekeeper.MAX_REQUEST_FRAMES - 1)
+        assert widest <= gatekeeper.MAX_REQUEST_BYTES
+
+    def test_line_over_the_limit_refused_and_connection_closed(self, auth_env, monkeypatch):
+        store, probes, _ = auth_env
+        limit = 2 ** 20
+        monkeypatch.setattr(gatekeeper, "MAX_REQUEST_BYTES", limit)
+        request = request_line(probes[1][:20].tolist())[:-1]
+
+        def padded(size):  # a line of ``size`` bytes, its newline included
+            return request + b" " * (size - len(request) - 1) + b"\n"
+
+        with running(store) as addr:
+            (at_limit,) = ask(addr, padded(limit))
+            with socket.create_connection(addr, timeout=10) as sock:
+                sock.sendall(padded(limit + 1))
+                fh = sock.makefile("rb")
+                over = json.loads(fh.readline())
+                try:
+                    after = fh.readline()
+                except ConnectionResetError:  # the unread newline may reset it
+                    after = b""
+            (still_served,) = ask(addr, padded(len(request) + 1))
+        assert at_limit["ok"] is True and at_limit["decision"]["user_id"] == 1
+        assert over["ok"] is False and over["error"]["code"] == "bad-request"
+        assert f"exceeds {limit} bytes" in over["error"]["message"]
+        assert after == b""  # the server closed the connection
+        assert still_served["ok"] is True
