@@ -205,9 +205,8 @@ def _store_path(args) -> str:
 
 
 def cmd_enroll(args) -> int:
-    m, X, y = _load_xy(args.data)
+    _, X, y = _load_xy(args.data)
     by_user = {int(u): X[y == u] for u in np.unique(y)}
-    prune = len(m.feature_names) == len(ds.feature_names(prune=True))
     store = gk.enroll(
         by_user,
         hyper=_hyper_from(args, args.model),
@@ -215,7 +214,6 @@ def cmd_enroll(args) -> int:
         kind=args.model,
         scaler_kind=args.scaler,
         packets_per_second=args.rate,
-        prune=prune,
     )
     gk.save_store(store, _store_path(args))
     print(f"enrolled {len(by_user)} users ({X.shape[0]} rows,"
@@ -261,7 +259,7 @@ def cmd_auth(args) -> int:
 def cmd_serve(args) -> int:
     store = _load_store(args)
     audit = gk.AuditLog(args.log) if args.log else None
-    server = gk.serve(store, host=args.host, port=args.port, log=audit)
+    server = gk.AuthServer((args.host, args.port), store, audit)
     host, port = server.server_address[:2]
     print(f"serving on {host}:{port} (ctrl-c to stop)")
     try:

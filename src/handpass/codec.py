@@ -171,12 +171,13 @@ def _gather(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(buf, width)[offsets]
 
 
-def read_capture(path: str, strict: bool = False, magic: int = CSI_MAGIC) -> CaptureFile:
+def read_capture(path: str, strict: bool = False) -> CaptureFile:
     """Parse a PCAP file and decode every CSI record in it.
 
-    Packets that are not CSI (wrong protocol stack or wrong payload magic)
-    are skipped and counted in ``skipped_non_csi``.  Payloads that match
-    the magic but fail validation are counted in ``bad_csi``, or raise
+    Packets that are not CSI (wrong protocol stack, or a payload that does
+    not start with CSI_MAGIC) are skipped and counted in
+    ``skipped_non_csi``.  Payloads that start with the magic but are not
+    PAYLOAD_LEN bytes long are counted in ``bad_csi``, or raise
     BadCsiPayload when ``strict`` is set; under ``strict`` a bad payload
     is reported before a truncated record that follows it.
     """
@@ -193,7 +194,7 @@ def read_capture(path: str, strict: bool = False, magic: int = CSI_MAGIC) -> Cap
     else:
         raise MalformedPcapHeader(f"{path}: unrecognized magic 0x{first:08x}")
     link_type = struct.unpack(endian + "IHHiIII", data[:24])[6]
-    magic_lo, magic_hi = struct.pack("<H", magic)
+    magic_lo, magic_hi = struct.pack("<H", CSI_MAGIC)
 
     # The record walk is the one per-record loop: each header gives the
     # offset of the next.
@@ -242,15 +243,11 @@ def read_capture(path: str, strict: bool = False, magic: int = CSI_MAGIC) -> Cap
         & (udp_len >= 8) & (udp_len <= length - 14 - ihl)   # UDP header inside the record
         & (n_payload >= 2) & (at(payload) == magic_lo) & (at(payload + 1) == magic_hi)
     )
-    # A payload that matches a magic other than CSI_MAGIC is a bad record,
-    # as decode_payload would find it.
-    good = is_csi & (n_payload == PAYLOAD_LEN) & (magic == CSI_MAGIC)
+    good = is_csi & (n_payload == PAYLOAD_LEN)
     bad = is_csi & ~good
     if strict and bad.any():
         first = int(n_payload[np.argmax(bad)])
-        if first != PAYLOAD_LEN:
-            raise BadCsiPayload(f"payload is {first} bytes, expected {PAYLOAD_LEN}")
-        raise BadCsiPayload(f"bad magic 0x{magic:04x}")
+        raise BadCsiPayload(f"payload is {first} bytes, expected {PAYLOAD_LEN}")
     if truncated is not None:
         raise TruncatedRecord(truncated)
 

@@ -178,23 +178,14 @@ def frame_to_features(
     return X[0]
 
 
-def build_rows(
-    capture: CaptureFile,
-    meta: CaptureMeta,
-    mask: SubcarrierMask | None = None,
-    sanitizer: SanitizerConfig | None = None,
-    prune: bool = True,
-) -> tuple:
-    """Convert every frame of a capture into a FeatureRow.
+def build_rows(capture: CaptureFile, meta: CaptureMeta, prune: bool = True) -> tuple:
+    """Convert every frame of a capture into a FeatureRow, with the default
+    mask and sanitizer that ``gatekeeper.enroll`` stores.
 
     Returns (rows, dropped) where dropped counts all-zero frames that
     cannot be normalized.
     """
-    if mask is None:
-        mask = SubcarrierMask()
-    if sanitizer is None:
-        sanitizer = SanitizerConfig()
-    X, kept = features(capture.csi, mask, sanitizer, prune)
+    X, kept = features(capture.csi, SubcarrierMask(), SanitizerConfig(), prune)
     rows = [
         FeatureRow(features=x, meta=meta, frame_index=int(i))
         for x, i in zip(X, np.flatnonzero(kept))

@@ -8,11 +8,12 @@ subcarriers, and the three dataset-level feature scalers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMatrix, OddLength
+from .errors import DimensionMismatch, EmptyMatrix, NonFiniteFeature, OddLength
 
 N_SUBCARRIERS = 256
 LOGICAL_INDICES = np.arange(-128, 128)
@@ -31,15 +32,14 @@ class SubcarrierMask:
 
     null_indices: frozenset = NULL_SUBCARRIERS
     pilot_indices: frozenset = PILOT_SUBCARRIERS
-    useful: tuple = ()
+    useful: tuple = field(init=False)
 
     def __post_init__(self):
-        if not self.useful:
-            useful = tuple(
-                k for k in range(-128, 128)
-                if k not in self.null_indices and k not in self.pilot_indices
-            )
-            object.__setattr__(self, "useful", useful)
+        useful = tuple(
+            k for k in range(-128, 128)
+            if k not in self.null_indices and k not in self.pilot_indices
+        )
+        object.__setattr__(self, "useful", useful)
         claimed = set(self.null_indices) | set(self.pilot_indices) | set(self.useful)
         if claimed != set(range(-128, 128)) or len(self.null_indices) + len(
             self.pilot_indices
@@ -60,8 +60,10 @@ class SanitizerConfig:
     unwrap: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if type(self.lam) not in (int, float) or not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam {self.lam!r} is not a finite number >= 0")
+        if type(self.unwrap) is not bool:
+            raise ValueError(f"unwrap {self.unwrap!r} is not true or false")
 
 
 def fft_shift(values) -> np.ndarray:
@@ -156,12 +158,23 @@ class FittedScaler:
 
     ``a``/``b`` hold (min, max) for minmax, (mean, stddev) for zscore and
     (median, iqr) for robust.  Features whose denominator is zero map
-    to 0.
+    to 0.  ``a`` and ``b`` are coerced to float64 (a JSON null becomes
+    NaN).  A kind not in SCALER_KINDS, or a bound that is not one flat
+    row of finite numbers, raises ValueError.
     """
 
     kind: str
     a: np.ndarray
     b: np.ndarray
+
+    def __post_init__(self):
+        if self.kind not in SCALER_KINDS:
+            raise ValueError(f"unknown scaler kind {self.kind!r}")
+        self.a = np.asarray(self.a, dtype=np.float64)
+        self.b = np.asarray(self.b, dtype=np.float64)
+        for name, bound in (("a", self.a), ("b", self.b)):
+            if bound.ndim != 1 or not np.isfinite(bound).all():
+                raise ValueError(f"scaler bound {name} is not a flat row of finite numbers")
 
     @property
     def n_features(self) -> int:
@@ -204,4 +217,8 @@ def fit_scaler(kind: str, matrix: np.ndarray) -> FittedScaler:
     else:
         q1, q3 = np.percentile(x, [25, 75], axis=0)
         a, b = np.percentile(x, 50, axis=0), q3 - q1
-    return FittedScaler(kind=kind, a=np.asarray(a, dtype=np.float64), b=np.asarray(b, dtype=np.float64))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        # from NaN or infinity in the rows (or a sum that overflowed); training
+        # refuses such rows with the same error
+        raise NonFiniteFeature("feature matrix contains NaN or infinity")
+    return FittedScaler(kind=kind, a=a, b=b)

@@ -77,3 +77,11 @@ class WindowTooShort(HandpassError):
 
 class BadPolicy(HandpassError):
     """A vote threshold or window length no decision can be made under."""
+
+
+class BadRequest(HandpassError):
+    """A service request line that is not an authenticate request."""
+
+
+class NotReady(HandpassError):
+    """The service was started without an enrollment store."""

@@ -28,8 +28,10 @@ from .dataset import feature_names, features
 from .dsp import FittedScaler, SanitizerConfig, SubcarrierMask, fit_scaler
 from .errors import (
     BadPolicy,
+    BadRequest,
     DegenerateLabels,
     HandpassError,
+    NotReady,
     TooFewFrames,
     WindowTooShort,
     ZeroSignal,
@@ -62,10 +64,17 @@ class EnrollmentStore:
     roster: dict                    # user_id -> set of permission strings
     packets_per_second: int
     prune: bool = True
-    version: int = STORE_VERSION
     created_at: str = ""
 
     def __post_init__(self):
+        if type(self.packets_per_second) is not int or self.packets_per_second < 1:
+            raise ValueError(f"packets_per_second {self.packets_per_second!r}"
+                             " is not an integer >= 1")
+        if type(self.prune) is not bool:
+            raise ValueError(f"prune {self.prune!r} is not true or false")
+        for perms in self.roster.values():
+            if not isinstance(perms, (set, frozenset)) or set(map(type, perms)) - {str}:
+                raise ValueError(f"roster permissions {perms!r} are not a set of strings")
         if not set(self.roster) <= set(int(c) for c in self.model.classes):
             raise ValueError("roster contains users the model was not trained on")
         a, b = len(self.scaler.a), len(self.scaler.b)
@@ -91,15 +100,14 @@ def enroll(
     seed: int = 0,
     kind: str = "rf",
     scaler_kind: str = "minmax",
-    mask: SubcarrierMask | None = None,
-    sanitizer: SanitizerConfig | None = None,
     packets_per_second: int = 1000,
-    prune: bool = True,
-    permissions=(DEFAULT_PERMISSION,),
 ) -> EnrollmentStore:
     """Fit scaler + classifier on per-user feature rows and build a store.
 
-    rows_by_user maps user_id -> (n_u, d) preprocessed feature block.
+    rows_by_user maps user_id -> (n_u, d) feature block from
+    ``dataset.build_rows``.  The store keeps the default mask and sanitizer
+    those rows were built with, pruned when they are 468 wide (the store
+    refuses widths other than 468 and 512), and lets every user ``enter``.
     """
     if len(rows_by_user) < MIN_ENROLL_USERS:
         raise DegenerateLabels(
@@ -121,11 +129,11 @@ def enroll(
     return EnrollmentStore(
         model=model,
         scaler=scaler,
-        mask=mask if mask is not None else SubcarrierMask(),
-        sanitizer=sanitizer if sanitizer is not None else SanitizerConfig(),
-        roster={u: set(permissions) for u in users},
+        mask=SubcarrierMask(),
+        sanitizer=SanitizerConfig(),
+        roster={u: {DEFAULT_PERMISSION} for u in users},
         packets_per_second=packets_per_second,
-        prune=prune,
+        prune=X.shape[1] == len(feature_names(prune=True)),
         created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
 
@@ -218,7 +226,7 @@ def _scaler_to_doc(s: FittedScaler) -> dict:
 def save_store(store: EnrollmentStore, path) -> None:
     doc = {
         "format": STORE_FORMAT,
-        "version": store.version,
+        "version": STORE_VERSION,
         "created_at": store.created_at,
         "model": model_to_doc(store.model),
         "scaler": _scaler_to_doc(store.scaler),
@@ -248,9 +256,7 @@ def load_store(path) -> EnrollmentStore:
         return EnrollmentStore(
             model=model_from_doc(doc["model"]),
             scaler=FittedScaler(
-                kind=doc["scaler"]["kind"],
-                a=np.array(doc["scaler"]["a"], dtype=np.float64),
-                b=np.array(doc["scaler"]["b"], dtype=np.float64),
+                kind=doc["scaler"]["kind"], a=doc["scaler"]["a"], b=doc["scaler"]["b"]
             ),
             mask=SubcarrierMask(
                 null_indices=frozenset(doc["mask"]["null"]),
@@ -259,10 +265,11 @@ def load_store(path) -> EnrollmentStore:
             sanitizer=SanitizerConfig(
                 lam=doc["sanitizer"]["lam"], unwrap=doc["sanitizer"]["unwrap"]
             ),
-            roster={int(u): set(perms) for u, perms in doc["roster"].items()},
+            # a list becomes a set; anything else is left for the store to refuse
+            roster={int(u): set(perms) if type(perms) is list else perms
+                    for u, perms in doc["roster"].items()},
             packets_per_second=doc["packets_per_second"],
             prune=doc["prune"],
-            version=doc["version"],
             created_at=doc.get("created_at", ""),
         )
     except KeyError as exc:
@@ -271,9 +278,14 @@ def load_store(path) -> EnrollmentStore:
         raise ValueError(f"malformed store document: {exc}") from exc
 
 
-def _error_code(exc: Exception) -> str:
-    # WindowTooShort -> "window-too-short"
-    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
+def _error_reply(exc: Exception) -> dict:
+    """The in-band reply to a refused request.  A domain error's code is
+    its class name (WindowTooShort -> "window-too-short"); any other
+    exception is the client's malformed input, "bad-request"."""
+    if not isinstance(exc, HandpassError):
+        exc = BadRequest(str(exc))
+    code = re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
+    return {"ok": False, "error": {"code": code, "message": str(exc)}}
 
 
 class AuthServer(socketserver.ThreadingTCPServer):
@@ -300,8 +312,8 @@ class _AuthHandler(socketserver.StreamRequestHandler):
         while raw := self.rfile.readline(MAX_REQUEST_BYTES):
             if len(raw) == MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
                 # the rest of the line is never read, so the connection ends
-                self._send({"ok": False, "error": {"code": "bad-request", "message":
-                            f"request line exceeds {MAX_REQUEST_BYTES} bytes"}})
+                self._send(_error_reply(
+                    BadRequest(f"request line exceeds {MAX_REQUEST_BYTES} bytes")))
                 return
             self._send(self._answer(raw))
 
@@ -312,26 +324,18 @@ class _AuthHandler(socketserver.StreamRequestHandler):
     def _answer(self, raw: bytes) -> dict:
         try:
             return self._one_request(raw)
-        except HandpassError as exc:
-            return {"ok": False, "error": {"code": _error_code(exc), "message": str(exc)}}
         except Exception as exc:  # malformed input must never kill the server
-            return {"ok": False, "error": {"code": "bad-request", "message": str(exc)}}
+            return _error_reply(exc)
 
     def _one_request(self, raw: bytes) -> dict:
-        try:
-            req, csi = _read_request(raw)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return {"ok": False, "error": {"code": "bad-request", "message": str(exc)}}
+        req, csi = _read_request(raw)
         if not isinstance(req, dict) or req.get("op") != "authenticate":
-            return {"ok": False, "error": {"code": "bad-request",
-                                           "message": "expected op=authenticate"}}
+            raise BadRequest("expected op=authenticate")
         store = self.server.store
         if store is None:
-            return {"ok": False, "error": {"code": "not-ready",
-                                           "message": "no enrollment store loaded"}}
+            raise NotReady("no enrollment store loaded")
         if "capture" in req or "frames" not in req:
-            return {"ok": False, "error": {"code": "bad-request", "message":
-                                           "need inline frames; no capture file is read"}}
+            raise BadRequest("need inline frames; no capture file is read")
         decision = authenticate(
             store,
             _inline_csi(req["frames"]) if csi is None else csi,
@@ -462,9 +466,3 @@ def _canonical_frames(raw: bytes) -> tuple | None:
     if type(req) is not dict or req.get("frames") is not _PLACEHOLDER:
         return None
     return req, values.astype(np.int16).reshape(n, N_SUBCARRIERS, 2)
-
-
-def serve(store: EnrollmentStore | None, host: str = "127.0.0.1", port: int = 5501,
-          log: AuditLog | None = None) -> AuthServer:
-    """Bind the service; caller drives serve_forever()/shutdown()."""
-    return AuthServer((host, port), store, log)

@@ -15,17 +15,13 @@ _FEATURE_RE = re.compile(r"^(amp|phase)_(-?\d+)$")
 
 def _tree_importances(tree: DecisionTreeModel) -> np.ndarray:
     """Impurity decrease per feature, weighted by node sample fraction."""
-    imp = np.zeros(tree.n_features)
-    n_root = tree.n_node_samples[0]
-    internal = np.nonzero(tree.feature >= 0)[0]
-    for nid in internal:
-        l, r = tree.left[nid], tree.right[nid]
-        decrease = (
-            tree.n_node_samples[nid] * tree.impurity[nid]
-            - tree.n_node_samples[l] * tree.impurity[l]
-            - tree.n_node_samples[r] * tree.impurity[r]
-        ) / n_root
-        imp[tree.feature[nid]] += decrease
+    inner = tree.feature >= 0
+    weighted = tree.n_node_samples * tree.impurity
+    decrease = (
+        weighted[inner] - weighted[tree.left[inner]] - weighted[tree.right[inner]]
+    ) / tree.n_node_samples[0]
+    # bincount adds in node order, as a per-node loop would
+    imp = np.bincount(tree.feature[inner], weights=decrease, minlength=tree.n_features)
     total = imp.sum()
     return imp / total if total > 0 else imp
 

@@ -4,18 +4,24 @@ functions by name; every name it patches must exist, or a traced run
 input step reads synth records at fixed byte offsets, so a writer that
 moves one byte must fail here rather than in a later benchmark run.  Its
 gate requests must take the service's fast decode path, or the gate
-workload would time the general path instead."""
+workload would time the general path instead.  And every workload must
+run: each calls the library as a user would (``build_rows(cap, meta)``,
+``enroll(blocks, seed=, packets_per_second=)``, ``SubcarrierMask()``), so
+a changed call fails here and not in a later benchmark run."""
 
 import json
 import os
 import sys
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
 import inputs  # noqa: E402
+import run  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 from handpass import dataset, dsp  # noqa: E402
 from handpass.codec import read_capture  # noqa: E402
@@ -57,3 +63,11 @@ def test_input_step_reads_what_the_codec_reads(tmp_path):
         lines = fh.read().splitlines(keepends=True)
     assert lines
     assert all(decodes_like_reference(line) for line in lines)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_runs_at_tiny_size(workload):
+    # the call run.py --selftest makes; a tiny run takes one or two seconds
+    result, _ = run.run_one(workload, 5, 0.5, False, "tiny")
+    assert result.correct, result.problems
+    assert result.attempted >= 1 and result.failed == 0

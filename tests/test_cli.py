@@ -365,3 +365,30 @@ class TestRefusedStore:
         assert code == 1
         assert err.startswith(f"error: store {store}: ")
         assert "serving" not in out and "Grant" not in out
+
+
+class TestInconsistentStore:
+    """A store whose own fields disagree is refused on load too, with the
+    same error line, rather than granting or failing at each request."""
+
+    @pytest.mark.parametrize("command", ["auth", "serve"])
+    @pytest.mark.parametrize("field, value", [
+        ("packets_per_second", -5), ("packets_per_second", 0), ("prune", "yes"),
+    ])
+    def test_refused_on_load(self, enroll_env, capsys, tmp_path, command, field, value):
+        corpus, csv, _ = enroll_env
+        store = str(tmp_path / "store.json")
+        assert main(["enroll", "--data", csv, "--store", store, "--rate", "20",
+                     "--trees", "3", "--seed", "2"]) == 0
+        with open(store) as fh:
+            doc = json.load(fh)
+        doc[field] = value
+        with open(store, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        probe = os.path.join(corpus, "user_02", "Right", "capture_1.pcap")
+        rest = ["--capture", probe] if command == "auth" else ["--port", "0"]
+        code, out, err = run(capsys, command, "--store", store, *rest)
+        assert code == 1
+        assert err.startswith(f"error: store {store}: ")
+        assert "serving" not in out and "Grant" not in out

@@ -343,7 +343,7 @@ def _udp_payload(data: bytes) -> bytes | None:
     return udp[8:udp_len]
 
 
-def reference_read(path, strict=False, magic=CSI_MAGIC):
+def reference_read(path, strict=False):
     """(frames, link_type, skipped_non_csi, bad_csi) of a capture file."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -361,7 +361,7 @@ def reference_read(path, strict=False, magic=CSI_MAGIC):
     record = struct.Struct(endian + "IIII")
     frames, skipped, bad = [], 0, 0
     pos, size = 24, len(data)
-    magic_bytes = struct.pack("<H", magic)
+    magic_bytes = struct.pack("<H", CSI_MAGIC)
     while pos < size:
         if pos + 16 > size:
             raise TruncatedRecord(f"{path}: record header truncated at offset {pos}")
@@ -434,11 +434,11 @@ class TestMatchesReference:
     def check(self, tmp_path):
         names = itertools.count()
 
-        def check_bytes(blob, **kwargs):
+        def check_bytes(blob):
             path = tmp_path / f"cap{next(names)}.pcap"
             path.write_bytes(blob)
             for strict in (False, True):
-                assert_matches_reference(str(path), strict=strict, **kwargs)
+                assert_matches_reference(str(path), strict=strict)
         return check_bytes
 
     @staticmethod
@@ -500,7 +500,6 @@ class TestMatchesReference:
         payload = seeded_payloads(np.random.default_rng(16), 1)[0]
         other = b"\x22\x22" + payload[2:]
         check(pcap_bytes([packet(other), packet(payload)]))
-        check(pcap_bytes([packet(other), packet(payload)]), magic=0x2222)
 
     @pytest.mark.parametrize("size", [0, 1, 2, 18, 1041, 1043])
     def test_payload_lengths(self, check, size):

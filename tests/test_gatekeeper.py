@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 import socket
@@ -18,6 +19,7 @@ from handpass.dataset import CaptureMeta, build_rows
 from handpass.errors import (
     BadPolicy,
     DegenerateLabels,
+    NonFiniteFeature,
     TooFewFrames,
     WindowTooShort,
     ZeroSignal,
@@ -30,7 +32,6 @@ from handpass.gatekeeper import (
     enroll,
     load_store,
     save_store,
-    serve,
 )
 from handpass.learners import HyperParams
 
@@ -94,6 +95,25 @@ class TestEnroll:
         store, _, _ = auth_env
         with pytest.raises(ValueError):
             dataclasses.replace(store, roster={99: {"enter"}})
+
+    @pytest.mark.parametrize("width, prune", [(468, True), (512, False), (500, None)])
+    def test_layout_read_off_the_row_width(self, width, prune):
+        rng = np.random.default_rng(9)
+        rows = {u: rng.normal(size=(100, width)) for u in (1, 2)}
+        if prune is None:  # neither layout
+            with pytest.raises(ValueError):
+                enroll(rows, HyperParams(n_trees=1))
+        else:
+            assert enroll(rows, HyperParams(n_trees=1)).prune is prune
+
+    @pytest.mark.parametrize("scaler_kind", ["minmax", "zscore", "robust"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rows_refused_as_training_refuses_them(self, scaler_kind, bad):
+        rng = np.random.default_rng(8)
+        rows = {1: rng.normal(size=(100, 468)), 2: rng.normal(size=(100, 468))}
+        rows[2][5, 7] = bad
+        with pytest.raises(NonFiniteFeature, match="^feature matrix contains NaN or infinity$"):
+            enroll(rows, HyperParams(n_trees=1), scaler_kind=scaler_kind)
 
 
 class TestAuthenticate:
@@ -278,6 +298,63 @@ class TestStorePersistence:
             load_store(path)
 
 
+# Each of these loaded without error before the store's parts checked their
+# own fields; several then granted (packets_per_second -5 grants any window).
+STORE_CORRUPTIONS = {
+    "scaler-kind-bogus": lambda d: d["scaler"].update(kind="bogus"),
+    "scaler-a-nan": lambda d: d["scaler"]["a"].__setitem__(0, float("nan")),
+    "scaler-b-null": lambda d: d["scaler"]["b"].__setitem__(3, None),
+    "lam-nan": lambda d: d["sanitizer"].update(lam=float("nan")),
+    "unwrap-no": lambda d: d["sanitizer"].update(unwrap="no"),
+    "rate-0": lambda d: d.update(packets_per_second=0),
+    "rate-negative": lambda d: d.update(packets_per_second=-5),
+    "rate-string": lambda d: d.update(packets_per_second="20"),
+    "rate-float": lambda d: d.update(packets_per_second=2.5),
+    "rate-true": lambda d: d.update(packets_per_second=True),
+    "prune-yes": lambda d: d.update(prune="yes"),
+    "roster-string": lambda d: d["roster"].update({"1": "enter"}),
+}
+
+
+class TestStoreFieldChecks:
+    """The scaler, the sanitizer and the store check their own fields, so
+    an inconsistent store is refused on load, not at the first request."""
+
+    @pytest.mark.parametrize("name", sorted(STORE_CORRUPTIONS))
+    def test_corrupt_store_refused(self, auth_env, tmp_path, name):
+        store, _, _ = auth_env
+        path = tmp_path / "store.json"
+        save_store(store, path)
+        doc = json.loads(path.read_text())
+        STORE_CORRUPTIONS[name](doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_store(path)
+
+    @pytest.mark.parametrize("changes", [
+        {"packets_per_second": 0}, {"packets_per_second": 20.0}, {"prune": 1},
+        {"roster": {1: "enter"}}, {"roster": {1: {3}}},
+    ], ids=["rate-0", "rate-float", "prune-int", "roster-string", "roster-int-permission"])
+    def test_store_checks_its_fields(self, auth_env, changes):
+        store, _, _ = auth_env
+        with pytest.raises(ValueError):
+            dataclasses.replace(store, **changes)
+
+
+# sha256 of the document below; any store byte that moves fails here
+STORE_DIGEST = "b86c0e2ff1e72a29d7e18c6d8b7047f1a2e2d4f95d5bf31c162552a5ed89bf26"
+
+
+def test_store_document_bytes(tmp_path):
+    rng = np.random.default_rng(71)
+    rows = {u: rng.normal(loc=0.1 * u, size=(100, 468)) for u in (1, 2, 3)}
+    store = enroll(rows, HyperParams(n_trees=2, max_depth=3), seed=4, packets_per_second=20)
+    store = dataclasses.replace(store, created_at="2026-01-01T00:00:00Z")
+    save_store(store, tmp_path / "store.json")
+    data = (tmp_path / "store.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == STORE_DIGEST
+
+
 def decision(uid=1, verdict="Grant", reason="ok"):
     return AuthDecision(
         user_id=uid, vote_share=1.0, frames_used=20,
@@ -353,7 +430,7 @@ class TestPolicy:
 
 @contextlib.contextmanager
 def running(store, log=None):
-    server = serve(store, port=0, log=log)
+    server = gatekeeper.AuthServer(("127.0.0.1", 0), store, log)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -36,6 +36,7 @@ from handpass.learners import (
     train,
 )
 from handpass.learners.base import MODEL_CLASSES
+from handpass.learners.importance import _tree_importances
 from handpass.learners import tree as tree_module
 from handpass.learners.tree import SplitData, best_splits, gini, grow_tree, resolve_max_features
 from handpass.learners.validate import confusion_matrix, metrics_from_confusion
@@ -771,6 +772,16 @@ class TestCrossValidate:
         with pytest.raises(TooFewSamples):
             cross_validate("dt", X, y, k=3)
 
+    @pytest.mark.parametrize("scaler", ["minmax", "zscore", "robust"])
+    @pytest.mark.parametrize("per_fold_scaler", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_refused_as_training_refuses_them(self, scaler, per_fold_scaler,
+                                                              bad):
+        X, y = blobs(np.random.default_rng(37), n_per=12, n_classes=3)
+        X[0, 1] = bad
+        with pytest.raises(NonFiniteFeature, match="^feature matrix contains NaN or infinity$"):
+            cross_validate("dt", X, y, k=3, scaler=scaler, per_fold_scaler=per_fold_scaler)
+
     def test_fold_balance(self):
         y = np.repeat([0, 1, 2], [25, 17, 9])
         folds = stratified_folds(y, k=4, seed=1)
@@ -858,6 +869,22 @@ class TestCrossValidate:
         assert cm.tolist() == [[1, 1], [0, 1]]
 
 
+def per_node_importances(tree):
+    """Reference importances: one internal node at a time, in node order."""
+    imp = np.zeros(tree.n_features)
+    n_root = tree.n_node_samples[0]
+    for nid in np.nonzero(tree.feature >= 0)[0]:
+        l, r = tree.left[nid], tree.right[nid]
+        decrease = (
+            tree.n_node_samples[nid] * tree.impurity[nid]
+            - tree.n_node_samples[l] * tree.impurity[l]
+            - tree.n_node_samples[r] * tree.impurity[r]
+        ) / n_root
+        imp[tree.feature[nid]] += decrease
+    total = imp.sum()
+    return imp / total if total > 0 else imp
+
+
 class TestImportance:
     def test_single_split_tree(self):
         X = np.array([[0.0, 5.0], [1.0, 5.0]])
@@ -883,6 +910,17 @@ class TestImportance:
         assert abs(imp.sum() - 1.0) < 1e-9
         assert imp[[0, 1, 3, 4]].max() == 0.0  # constants cannot split
         assert imp[2] > 0 and imp[5] > 0
+
+    def test_matches_per_node_loop(self):
+        rng = np.random.default_rng(46)
+        X, y = blobs(rng, n_per=30, n_classes=4, d=12, spread=2.0)
+        rf = train("rf", X, y, HyperParams(n_trees=10), seed=7)
+        dt = train("dt", X, y, seed=7)
+        stump = train("dt", np.ones((6, 3)), np.array([0, 0, 0, 1, 1, 1]))
+        assert stump.n_nodes == 1
+        for tree in rf.trees + [dt, stump]:
+            assert np.array_equal(_tree_importances(tree), per_node_importances(tree))
+        assert not per_node_importances(stump).any()
 
     def test_knn_unsupported(self):
         rng = np.random.default_rng(45)
