@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from time import perf_counter
 
 import numpy as np
 
@@ -105,6 +106,7 @@ def _codec_counters(skipped: int, bad_csi: int) -> str:
 
 def _rows_from_manifest(args, manifest):
     rows, dropped, skipped, bad_csi = [], 0, 0, 0
+    frames, read_s, build_s = 0, 0.0, 0.0
     for entry in manifest["captures"]:
         meta = ds.CaptureMeta(
             capture_number=entry["capture_number"],
@@ -112,13 +114,22 @@ def _rows_from_manifest(args, manifest):
             hand=entry["hand"],
             user_id=entry["user_id"],
         )
+        start = perf_counter()
         capture = read_capture(os.path.join(args.indir, entry["path"]))
+        read_at = perf_counter()
         got, bad = ds.build_rows(capture, meta, prune=args.prune)
+        read_s += read_at - start
+        build_s += perf_counter() - read_at
         rows.extend(got)
+        frames += len(capture.csi)
         dropped += bad
         skipped += capture.skipped_non_csi
         bad_csi += capture.bad_csi
         log.info("parsed %s: %d rows", entry["path"], len(got))
+    log.info("%d captures, %d frames: read_capture %.3f s (%.0f frames/s),"
+             " build_rows %.3f s (%.0f frames/s)", len(manifest["captures"]), frames,
+             read_s, frames / read_s if read_s else 0, build_s,
+             frames / build_s if build_s else 0)
     return rows, dropped, skipped, bad_csi
 
 
@@ -205,19 +216,23 @@ def _store_path(args) -> str:
 
 
 def cmd_enroll(args) -> int:
+    path = _store_path(args)
     _, X, y = _load_xy(args.data)
     by_user = {int(u): X[y == u] for u in np.unique(y)}
-    store = gk.enroll(
-        by_user,
-        hyper=_hyper_from(args, args.model),
-        seed=args.seed,
-        kind=args.model,
-        scaler_kind=args.scaler,
-        packets_per_second=args.rate,
-    )
-    gk.save_store(store, _store_path(args))
+    try:
+        store = gk.enroll(
+            by_user,
+            hyper=_hyper_from(args, args.model),
+            seed=args.seed,
+            kind=args.model,
+            scaler_kind=args.scaler,
+            packets_per_second=args.rate,
+        )
+    except ValueError as exc:  # e.g. a rate or row width that the store refuses
+        raise HandpassError(f"cannot enroll: {exc}") from exc
+    gk.save_store(store, path)
     print(f"enrolled {len(by_user)} users ({X.shape[0]} rows,"
-          f" {KINDS[args.model]}) -> {_store_path(args)}")
+          f" {KINDS[args.model]}) -> {path}")
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -150,19 +151,25 @@ def features(
     (X, kept): X holds one row per kept frame, amplitudes then phases in
     degrees, and the boolean kept marks the frames that were not all zero
     (those cannot be normalized and are dropped).  With prune the 22
-    null/pilot subcarriers are dropped from both blocks.
+    null/pilot subcarriers are dropped from both blocks, right after the
+    normalization, so no phase work is spent on them.
     """
     cfr, kept = normalize_cfr(to_cfr(csi))
+    if prune:                       # every later stage sees the useful bins only
+        cfr = cfr[:, mask.useful_positions]
     residual = sanitize_phase(cfr, sanitizer, mask)
-    cols = mask.useful_positions if prune else slice(None)
-    amp, residual = np.abs(cfr[:, cols]), residual[:, cols]
+    amp = np.abs(cfr)
     # The polar round trip sets the last bit of both blocks, so it stays.
     z = amp * np.exp(1j * residual)
+    w = amp.shape[1]
+    X = np.empty((amp.shape[0], 2 * w))
+    np.abs(z, out=X[:, :w])
     phase = np.angle(z)
     # 0 * exp(i r) has no angle; a zero sample keeps its detrended phase.
     zero = amp == 0.0
     phase[zero] = np.angle(np.exp(1j * residual[zero]))
-    return np.concatenate([np.abs(z), np.degrees(phase)], axis=1), kept
+    np.degrees(phase, out=X[:, w:])
+    return X, kept
 
 
 def frame_to_features(
@@ -178,6 +185,12 @@ def frame_to_features(
     return X[0]
 
 
+@cache
+def _defaults() -> tuple:
+    """The default mask and sanitizer, built once on first use."""
+    return SubcarrierMask(), SanitizerConfig()
+
+
 def build_rows(capture: CaptureFile, meta: CaptureMeta, prune: bool = True) -> tuple:
     """Convert every frame of a capture into a FeatureRow, with the default
     mask and sanitizer that ``gatekeeper.enroll`` stores.
@@ -185,7 +198,7 @@ def build_rows(capture: CaptureFile, meta: CaptureMeta, prune: bool = True) -> t
     Returns (rows, dropped) where dropped counts all-zero frames that
     cannot be normalized.
     """
-    X, kept = features(capture.csi, SubcarrierMask(), SanitizerConfig(), prune)
+    X, kept = features(capture.csi, *_defaults(), prune)
     rows = [
         FeatureRow(features=x, meta=meta, frame_index=int(i))
         for x, i in zip(X, np.flatnonzero(kept))
@@ -269,7 +282,11 @@ def write_csv(m: FeatureMatrix, path) -> None:
 
 
 def read_csv(path) -> FeatureMatrix:
-    """Read a CSV written by write_csv; width mismatches raise RaggedRows."""
+    """Read a CSV written by write_csv; width mismatches raise RaggedRows.
+
+    Each row becomes float64 as it is read, so no list of Python floats
+    for the whole file is held.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
         if not header:
@@ -286,13 +303,13 @@ def read_csv(path) -> FeatureMatrix:
                 raise RaggedRows(
                     f"{path}:{lineno}: {len(parts)} fields, expected {d + 4}"
                 )
-            feats.append([float(v) for v in parts[:d]])
+            feats.append(np.fromiter(map(float, parts[:d]), np.float64, d))
             caps.append(int(parts[d]))
             genders.append(parts[d + 1])
             hands.append(parts[d + 2])
             users.append(int(parts[d + 3]))
     return FeatureMatrix(
-        features=np.array(feats, dtype=np.float64).reshape(len(feats), d),
+        features=np.stack(feats) if feats else np.empty((0, d)),
         feature_names=fnames,
         capture=np.array(caps, dtype=np.int64),
         gender=np.array(genders, dtype="<U1"),

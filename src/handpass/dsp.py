@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,10 +47,20 @@ class SubcarrierMask:
         ) + len(self.useful) != N_SUBCARRIERS:
             raise ValueError("null, pilot and useful sets must partition -128..127")
 
-    @property
+    @cached_property
     def useful_positions(self) -> np.ndarray:
-        """Array positions (0-based) of the useful subcarriers."""
-        return np.asarray(self.useful) + 128
+        """Array positions (0-based) of the useful subcarriers, computed
+        once per mask (read-only)."""
+        pos = np.asarray(self.useful) + 128
+        pos.flags.writeable = False
+        return pos
+
+    @cached_property
+    def _ridge(self) -> tuple:
+        """k (the useful indices as float64), k.k and sum(k): the mask's
+        share of the detrend's normal equations, computed once per mask."""
+        k = np.asarray(self.useful, dtype=np.float64)
+        return k, float(np.dot(k, k)), float(k.sum())
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,28 @@ def normalize_cfr(cfr: np.ndarray) -> tuple:
     """
     mean_amp = np.abs(cfr).mean(axis=1)
     kept = mean_amp > 0.0
+    if kept.all():                  # the same division, without a masked copy
+        return cfr / mean_amp[:, None], kept
     return cfr[kept] / mean_amp[kept, None], kept
+
+
+def _unwrap(phi: np.ndarray) -> np.ndarray:
+    """np.unwrap(phi, axis=1), bit for bit, in place.
+
+    numpy's correction of a step d is mod(d + pi, 2 pi) - pi - d, and it is
+    exactly 0 wherever |d| < pi; here that arithmetic runs only on the
+    other steps (a NaN step among them, as in numpy), and the same
+    cumulative sum of the same correction array is added.
+    """
+    d = np.diff(phi, axis=1)
+    jump = ~(np.abs(d) < math.pi)
+    dj = d[jump]
+    ddmod = np.mod(dj - (-math.pi), 2 * math.pi) + (-math.pi)
+    np.copyto(ddmod, math.pi, where=(ddmod == -math.pi) & (dj > 0))
+    correct = np.zeros_like(d)
+    correct[jump] = ddmod - dj
+    phi[:, 1:] = phi[:, 1:] + correct.cumsum(axis=1)
+    return phi
 
 
 def sanitize_phase(
@@ -119,28 +151,30 @@ def sanitize_phase(
     Phases are unwrapped across the ascending useful subcarriers, a line
     a*k + b is fitted to them by ridge-regularized least squares
     (penalty lam * (a^2 + b^2)), and the fitted trend is subtracted from
-    all 256 phases.  Returns the (n, 256) residual phases in radians;
-    amplitudes are not part of this stage.
+    every phase.  cfr holds all 256 logical subcarriers, or only the
+    mask's useful ones in ascending order (the pruned layout); the
+    returned residual phases, in radians, have the same columns.
+    Amplitudes are not part of this stage.
     """
     if cfg is None:
         cfg = SanitizerConfig()
     if mask is None:
         mask = SubcarrierMask()
+    k, kk, k_sum = mask._ridge
+    if cfr.shape[1] not in (N_SUBCARRIERS, k.size):
+        raise ValueError(f"expected {N_SUBCARRIERS} or {k.size} columns, got {cfr.shape[1]}")
+    pruned = cfr.shape[1] == k.size
 
     phase = np.angle(cfr)
-    pos = mask.useful_positions
-    k = np.asarray(mask.useful, dtype=np.float64)
-
-    phi = phase[:, pos]
-    if cfg.unwrap:
-        phi = np.unwrap(phi, axis=1)
     # Strided rows round the dot product differently; contiguous rows give
     # the same sums as a per-frame np.dot and .sum().
-    phi = np.ascontiguousarray(phi)
+    phi = np.ascontiguousarray(phase if pruned else phase[:, mask.useful_positions])
+    if cfg.unwrap:
+        _unwrap(phi)
 
     # Normal equations of the ridge problem, solved in closed form.
-    s2 = float(np.dot(k, k)) + cfg.lam
-    s1 = float(k.sum())
+    s2 = kk + cfg.lam
+    s1 = k_sum
     s0 = float(k.size) + cfg.lam
     r1 = np.vecdot(phi, k)
     r0 = phi.sum(axis=1)
@@ -148,7 +182,9 @@ def sanitize_phase(
     a = (s0 * r1 - s1 * r0) / det
     b = (s2 * r0 - s1 * r1) / det
 
-    phase[:, pos] = phi
+    if pruned:
+        return phi - (a[:, None] * k + b[:, None])
+    phase[:, mask.useful_positions] = phi
     return phase - (a[:, None] * LOGICAL_INDICES + b[:, None])
 
 

@@ -1,13 +1,14 @@
 import json
 import logging
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from handpass.cli import main
-from handpass.dataset import read_csv
+from handpass.dataset import FeatureMatrix, read_csv, write_csv
 
 
 def run(capsys, *argv):
@@ -148,6 +149,20 @@ class TestDataset:
             main(["dataset", "--in", clean_corpus, "--slice", "D1",
                   "--out", str(tmp_path / "lam.csv"), "--lam", "1000"])
         assert exc.value.code == 2
+
+
+    def test_verbose_logs_stage_seconds(self, clean_corpus, tmp_path, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="handpass")
+        code, _, _ = run(capsys, "dataset", "-v", "--in", clean_corpus, "--slice", "D1",
+                         "--out", str(tmp_path / "v.csv"))
+        assert code == 0
+        timed = [r.getMessage() for r in caplog.records if "read_capture" in r.getMessage()]
+        assert len(timed) == 1
+        match = re.fullmatch(r"3 captures, 75 frames: read_capture (\d+\.\d{3}) s"
+                             r" \((\d+) frames/s\), build_rows (\d+\.\d{3}) s"
+                             r" \((\d+) frames/s\)", timed[0])
+        assert match, timed[0]
+        assert int(match[2]) > 0 and int(match[4]) > 0
 
 
 class TestCrossval:
@@ -392,3 +407,34 @@ class TestInconsistentStore:
         assert code == 1
         assert err.startswith(f"error: store {store}: ")
         assert "serving" not in out and "Grant" not in out
+
+
+class TestRefusedEnroll:
+    """A store that enroll builds but the store refuses is a domain error
+    (exit 1 with an error line), not a traceback, and nothing is written."""
+
+    def enroll(self, capsys, csv, store, *extra):
+        return run(capsys, "enroll", "--data", csv, "--store", store, "--trees", "3",
+                   "--seed", "2", *extra)
+
+    def test_rate_zero(self, enroll_env, capsys, tmp_path):
+        _, csv, _ = enroll_env
+        store = str(tmp_path / "store.json")
+        code, out, err = self.enroll(capsys, csv, store, "--rate", "0")
+        assert code == 1
+        assert err.startswith("error: ") and "packets_per_second 0" in err
+        assert "enrolled" not in out and not os.path.exists(store)
+
+    def test_csv_100_features_wide(self, enroll_env, capsys, tmp_path):
+        _, csv, _ = enroll_env
+        m = read_csv(csv)
+        narrow = str(tmp_path / "narrow.csv")
+        write_csv(FeatureMatrix(
+            features=m.features[:, :100], feature_names=tuple(f"f_{i}" for i in range(100)),
+            capture=m.capture, gender=m.gender, hand=m.hand, user_id=m.user_id,
+        ), narrow)
+        store = str(tmp_path / "store.json")
+        code, out, err = self.enroll(capsys, narrow, store, "--rate", "20")
+        assert code == 1
+        assert err.startswith("error: ") and "feature layout" in err
+        assert "enrolled" not in out and not os.path.exists(store)

@@ -263,6 +263,21 @@ class TestCsv:
         with pytest.raises(RaggedRows):
             read_csv(path)
 
+    def test_bad_fields_raise_what_they_raised(self, tmp_path):
+        m = self.make_matrix(width=3)
+        path = tmp_path / "rows.csv"
+        write_csv(m, path)
+        lines = path.read_text().splitlines()
+        good = lines[:]
+        lines[3] = "abc" + lines[3][lines[3].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+            read_csv(path)
+        good[4] += ",1"
+        path.write_text("\n".join(good) + "\n")
+        with pytest.raises(RaggedRows, match=r"rows\.csv:5: 8 fields, expected 7$"):
+            read_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

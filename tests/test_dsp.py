@@ -1,16 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from handpass.codec import CsiFrame
 from handpass.dataset import features, frame_to_features
 from handpass.dsp import (
     FittedScaler,
+    N_SUBCARRIERS,
     SanitizerConfig,
     SubcarrierMask,
     fft_shift,
     fit_scaler,
     normalize_cfr,
     sanitize_phase,
+    _unwrap,
     to_cfr,
 )
 from handpass.errors import DimensionMismatch, EmptyMatrix, OddLength, ZeroSignal
@@ -274,6 +281,156 @@ class TestBatchedPassMatchesChain:
             zero = (to_cfr(csi[kept]) == 0)[:, cols]
             same = (X == want) | np.concatenate([zero, zero], axis=1)
             assert X.shape == want.shape and same.all()
+
+
+def reference_features(csi, mask, cfg, prune):
+    """The batched pass as it was before it computed only what it emits:
+    a boolean-index copy in normalization, angle, np.unwrap, the ridge fit
+    and the residual on all 256 bins, and np.concatenate at the end."""
+    cfr = to_cfr(csi)
+    mean_amp = np.abs(cfr).mean(axis=1)
+    kept = mean_amp > 0.0
+    cfr = cfr[kept] / mean_amp[kept, None]
+    phase = np.angle(cfr)
+    pos = np.asarray(mask.useful) + 128
+    k = np.asarray(mask.useful, dtype=np.float64)
+    phi = phase[:, pos]
+    if cfg.unwrap:
+        phi = np.unwrap(phi, axis=1)
+    phi = np.ascontiguousarray(phi)
+    s2 = float(np.dot(k, k)) + cfg.lam
+    s1 = float(k.sum())
+    s0 = float(k.size) + cfg.lam
+    r1 = np.vecdot(phi, k)
+    r0 = phi.sum(axis=1)
+    det = s2 * s0 - s1 * s1
+    a = (s0 * r1 - s1 * r0) / det
+    b = (s2 * r0 - s1 * r1) / det
+    phase[:, pos] = phi
+    residual = phase - (a[:, None] * K + b[:, None])
+    cols = pos if prune else slice(None)
+    amp, residual = np.abs(cfr[:, cols]), residual[:, cols]
+    z = amp * np.exp(1j * residual)
+    phase = np.angle(z)
+    zero = amp == 0.0
+    phase[zero] = np.angle(np.exp(1j * residual[zero]))
+    return np.concatenate([np.abs(z), np.degrees(phase)], axis=1), kept
+
+
+# the default layout, and an asymmetric one (sum(k) != 0) with other widths
+MASKS = (
+    SubcarrierMask(),
+    SubcarrierMask(null_indices=frozenset({-128, -127, 0, 127}),
+                   pilot_indices=frozenset(range(-121, 121, 10))),
+)
+
+
+@st.composite
+def csi_blocks(draw):
+    """(n, 256, 2) int16 blocks with all-zero frames, (0, 0) samples on
+    useful bins and neighbouring bins whose phases differ by exactly pi."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full", "small", "ramp"]))
+    if kind == "full":
+        csi = rng.integers(-32768, 32768, size=(n, 256, 2), dtype=np.int16)
+    elif kind == "small":         # many (0, 0) samples and exact +-pi steps
+        csi = rng.integers(-3, 4, size=(n, 256, 2), dtype=np.int16)
+    else:                         # a wrapping phase ramp, as synth captures have
+        slope, offset = rng.uniform(-0.4, 0.4, size=(n, 1)), rng.uniform(-4, 4, size=(n, 1))
+        z = rng.uniform(200, 900, size=(n, 256)) * np.exp(1j * (slope * K + offset))
+        z = fft_shift(z)          # to hardware order
+        csi = np.stack([z.real, z.imag], axis=-1).round().astype(np.int16)
+    for k in draw(st.lists(st.integers(-128, 127), max_size=6)):
+        csi[:, k % 256] = 0
+    for k in draw(st.lists(st.integers(-128, 126), max_size=3)):
+        first, second = ((-11, 10), (825, -750))[:: draw(st.sampled_from([1, -1]))]
+        csi[:, k % 256], csi[:, (k + 1) % 256] = first, second
+    csi[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0
+    return csi
+
+
+def bits(x):
+    return x.view(np.int64)
+
+
+class TestPassMatchesReference:
+    """features() gives the reference pass's output bit for bit."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(csi_blocks(), st.booleans(), st.booleans(), st.sampled_from([0, 0.1, 2.5]),
+           st.sampled_from(MASKS))
+    def test_bit_equal(self, csi, prune, unwrap, lam, mask):
+        cfg = SanitizerConfig(lam=lam, unwrap=unwrap)
+        X, kept = features(csi, mask, cfg, prune)
+        want, want_kept = reference_features(csi, mask, cfg, prune)
+        assert np.array_equal(kept, want_kept)
+        assert X.shape == want.shape and np.array_equal(bits(X), bits(want))
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_all_zero_block(self, prune):
+        X, kept = features(np.zeros((3, 256, 2), dtype=np.int16),
+                           SubcarrierMask(), SanitizerConfig(), prune)
+        assert X.shape == (0, 468 if prune else 512) and not kept.any()
+
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_pruned_residual_is_the_full_residual_at_useful_bins(self, mask):
+        rng = np.random.default_rng(13)
+        cfr, _ = normalize_cfr(to_cfr(rng.integers(-900, 900, size=(6, 256, 2),
+                                                   dtype=np.int16)))
+        pos = mask.useful_positions
+        full = sanitize_phase(cfr, SanitizerConfig(), mask)
+        pruned = sanitize_phase(cfr[:, pos], SanitizerConfig(), mask)
+        assert pruned.shape == (6, len(mask.useful))
+        assert np.array_equal(bits(pruned), bits(full[:, pos]))
+
+    def test_other_widths_refused(self):
+        with pytest.raises(ValueError):
+            sanitize_phase(np.ones((2, 100), dtype=np.complex128))
+
+    def test_normalize_leaves_its_input_alone(self):
+        rng = np.random.default_rng(14)
+        z = rng.normal(size=(4, 256)) + 1j * rng.normal(size=(4, 256))
+        before = z.copy()
+        out, kept = normalize_cfr(z)
+        assert kept.all() and not np.shares_memory(out, z)
+        assert np.array_equal(bits(z.view(np.float64)), bits(before.view(np.float64)))
+        mean_amp = np.abs(z).mean(axis=1)
+        masked = z[kept] / mean_amp[kept, None]
+        assert np.array_equal(bits(out.view(np.float64)), bits(masked.view(np.float64)))
+
+    def test_mask_constants_are_computed_once(self):
+        mask = SubcarrierMask()
+        pos = mask.useful_positions
+        assert mask.useful_positions is pos and not pos.flags.writeable
+        assert mask._ridge is mask._ridge
+        assert mask == SubcarrierMask()         # cached values are not fields
+
+
+def phase_rows():
+    """Rows of phases with exact +-pi (and 2 pi) steps between neighbours,
+    NaN and infinities among ordinary values."""
+    special = st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2,
+                               2 * math.pi, math.nan, math.inf, -math.inf])
+    values = st.one_of(special, st.floats(-20.0, 20.0))
+    shape = st.tuples(st.integers(1, 4), st.integers(1, 30))
+    return arrays(np.float64, shape, elements=values)
+
+
+class TestUnwrap:
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(phase_rows())
+    def test_matches_np_unwrap(self, phi):
+        with np.errstate(invalid="ignore"):     # inf - inf and mod(inf) are NaN
+            want = np.unwrap(phi, axis=1)
+            got = _unwrap(phi.copy())
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_pi_steps_and_nan(self):
+        phi = np.array([[0.0, math.pi, 0.0, -math.pi, 3.5, -3.0, math.nan, 1.0, 0.5]])
+        want = np.unwrap(phi, axis=1)
+        assert np.array_equal(bits(_unwrap(phi.copy())), bits(want))
+        assert np.isnan(want[0, 6:]).all()      # NaN spreads to the right, as in numpy
 
 
 class TestScalers:
