@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -62,20 +63,21 @@ def _print_table(headers, rows) -> None:
             print("  ".join("-" * w for w in widths))
 
 
+# command-line option (argparse dest) -> the HyperParams field it sets
+_HYPER_OPTIONS = {"trees": "n_trees", "max_depth": "max_depth",
+                  "knn_k": "k_neighbors", "svm_epochs": "svm_epochs"}
+
+
 def _hyper_from(args: argparse.Namespace, kind: str) -> HyperParams:
     hp = default_hyper(kind)
-    overrides = {}
-    if getattr(args, "trees", None) is not None:
-        overrides["n_trees"] = args.trees
-    if getattr(args, "max_depth", None) is not None:
-        overrides["max_depth"] = args.max_depth
-    if getattr(args, "knn_k", None) is not None:
-        overrides["k_neighbors"] = args.knn_k
-    if getattr(args, "svm_epochs", None) is not None:
-        overrides["svm_epochs"] = args.svm_epochs
-    from dataclasses import replace
-
-    return replace(hp, **overrides) if overrides else hp
+    for option, name in _HYPER_OPTIONS.items():
+        value = getattr(args, option, None)
+        if value is not None:
+            try:
+                hp = replace(hp, **{name: value})
+            except ValueError as exc:  # HyperParams refuses the value
+                raise HandpassError(f"--{option.replace('_', '-')}: {exc}") from exc
+    return hp
 
 
 def cmd_synth(args) -> int:
@@ -154,6 +156,7 @@ def _load_xy(path):
 
 def cmd_crossval(args) -> int:
     kinds = list(KINDS) if args.model == "all" else [args.model]
+    hypers = {kind: _hyper_from(args, kind) for kind in kinds}   # refused before any fit
     report_rows = []
     for data_path in args.data:
         slice_name = os.path.splitext(os.path.basename(data_path))[0]
@@ -161,7 +164,7 @@ def cmd_crossval(args) -> int:
         table = []
         for kind in kinds:
             rep = cross_validate(
-                kind, X, y, k=args.k, hyper=_hyper_from(args, kind),
+                kind, X, y, k=args.k, hyper=hypers[kind],
                 seed=args.seed, scaler=None if args.scaler == "none" else args.scaler,
                 per_fold_scaler=args.per_fold_scaler,
             )
@@ -219,10 +222,12 @@ def cmd_enroll(args) -> int:
     path = _store_path(args)
     _, X, y = _load_xy(args.data)
     by_user = {int(u): X[y == u] for u in np.unique(y)}
+    hyper = _hyper_from(args, args.model)
+    start = perf_counter()
     try:
         store = gk.enroll(
             by_user,
-            hyper=_hyper_from(args, args.model),
+            hyper=hyper,
             seed=args.seed,
             kind=args.model,
             scaler_kind=args.scaler,
@@ -230,7 +235,10 @@ def cmd_enroll(args) -> int:
         )
     except ValueError as exc:  # e.g. a rate or row width that the store refuses
         raise HandpassError(f"cannot enroll: {exc}") from exc
+    fitted = perf_counter()
     gk.save_store(store, path)
+    log.info("enroll: fit %.3f s, save_store %.3f s, store %d bytes", fitted - start,
+             perf_counter() - fitted, os.path.getsize(path))
     print(f"enrolled {len(by_user)} users ({X.shape[0]} rows,"
           f" {KINDS[args.model]}) -> {path}")
     return 0

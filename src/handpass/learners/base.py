@@ -29,7 +29,9 @@ class HyperParams:
     """Knobs for all five model kinds; irrelevant fields are ignored.
 
     max_features applies per split: None = all, "sqrt" = round(sqrt(d)),
-    or an explicit count.
+    or an explicit count.  Construction refuses, with ValueError, counts
+    that fit no model: n_trees, k_neighbors or svm_epochs below 1, and a
+    max_depth below 0.
     """
 
     n_trees: int = 100
@@ -41,6 +43,17 @@ class HyperParams:
     var_smoothing: float = 1e-9
     svm_epochs: int = 200
     svm_reg: float = 1e-4
+
+    def __post_init__(self):
+        for name in ("n_trees", "k_neighbors", "svm_epochs"):
+            _check_count(name, getattr(self, name), 1)
+        if self.max_depth is not None:
+            _check_count("max_depth", self.max_depth, 0)
+
+
+def _check_count(name, value, least):
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} {value!r} is not an integer >= {least}")
 
 
 def canonical_kind(kind: str) -> str:

@@ -5,12 +5,16 @@ value, ...) so batch prediction can route whole row blocks level by
 level instead of walking rows one at a time; `NodeTable` stacks one or
 more trees for that routing.  `grow_trees` grows one or more trees in
 lockstep, all their split searches going through the batched
-`best_splits` over one `SplitData`.
+`best_splits` over one `SplitData`.  A search sorts packed integer
+keys, one per (row, feature) cell, that carry each cell's node, value
+rank and position: one sort gives the value order of every node and
+its equal values, and a threshold is computed only at the winning cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +23,7 @@ from .rows import check_rows
 # Split search works on (row, feature) cells.  Features go in chunks of
 # 64, which bounds one node's working arrays and fixes which of several
 # equal-impurity splits wins (see best_splits).  Nodes are packed into
-# batches of at most _BATCH_CELLS cells a chunk, 40 to 65 bytes a cell
+# batches of at most _BATCH_CELLS cells a chunk, about 41 bytes a cell
 # at the peak; a node larger than that is searched alone.
 _FEATURE_CHUNK = 64
 _BATCH_CELLS = 32768
@@ -53,8 +57,8 @@ class SplitData:
     share a rank), in the smallest unsigned dtype, laid out like X so
     one flat index row * d + f reads both.  Sorting a node's rows by
     rank orders them as sorting by value does, up to the order of equal
-    values, and small integer keys make numpy's stable sort a radix
-    sort.
+    values, and equal ranks mark equal values, so the search compares
+    integers where it would compare floats.
     """
 
     def __init__(self, X, y_codes, n_classes):
@@ -78,9 +82,10 @@ class SplitData:
 def best_splits(data: SplitData, nodes) -> list:
     """Best (feature, threshold) of each (rows, features) node of data.
 
-    Candidates are midpoints between consecutive sorted values that lie
-    strictly below the upper value; that rules out equal neighbours and
-    a midpoint that rounds onto the upper value, neither of which would
+    Candidates are midpoints between distinct consecutive sorted values
+    that lie strictly below the upper value; that rules out equal
+    neighbours and a midpoint that rounds onto the upper value (adjacent
+    floats, or a sum that overflows to +inf), neither of which would
     separate the pair.  Each entry is (children_impurity_sum, feature,
     threshold) minimizing nl*gini_l + nr*gini_r over the node's
     features, or None when every one is constant on the node.  Ties go
@@ -126,37 +131,38 @@ def _search(data, rows, feats):
     arrays, w = inf where no split exists.
 
     The batch's rows are concatenated into one column per feature, node
-    b occupying segment [starts[b], ends[b]).  A stable sort by (node,
-    rank) sorts every segment in place, and the class and impurity sums
-    below run per segment.  With one node in the batch every
-    per-segment step drops out.
+    b occupying segment [starts[b], ends[b]).  One sort of the cells'
+    packed (node, rank, position) keys sorts every segment in place and
+    puts equal values side by side, and the class and impurity sums
+    below run per segment.  Cuts between equal values are masked by key;
+    the float midpoint is formed only at each node's winning cut, and a
+    node whose winning midpoint does not separate its pair is searched
+    again by `_search_again`.
     """
     X, y, d, C, K = data.X.ravel(), data.y, data.d, data.n_classes, data.n_ranks
     B = len(rows)
     lens = np.fromiter(map(len, rows), dtype=np.intp, count=B)
     ends = np.cumsum(lens)
     starts = ends - lens
-    rows = rows[0] if B == 1 else np.concatenate(rows)
+    rows = np.concatenate(rows)
     N = rows.size
     at = rows * d                       # flat index of each row's feature 0
     y_rows = y[rows]
-    left_n = np.arange(1, N, dtype=np.float64)
-    if B == 1:
-        counts = np.bincount(y_rows, minlength=C)[None, :]
-        right_n = N - left_n
-    else:
-        counts = np.bincount(np.repeat(np.arange(0, B * C, C), lens) + y_rows,
-                             minlength=B * C).reshape(B, C)
-        left_n -= np.repeat(starts, lens)[:-1]
-        right_n = np.repeat(lens, lens)[:-1] - left_n
-        # a cut after a segment's last row has nothing on its right;
-        # right_n = inf makes its w inf
-        right_n[ends[:-1] - 1] = np.inf
-        # sort keys: node * K + rank when they fit 16 bits, else the node
-        if B * K <= 1 << 16:
-            seg_key = np.repeat(np.arange(0, B * K, K, dtype=np.uint16), lens)
-        else:
-            seg = np.repeat(np.arange(B, dtype=np.min_scalar_type(B - 1)), lens)
+    counts = np.bincount(np.repeat(np.arange(0, B * C, C), lens) + y_rows,
+                         minlength=B * C).reshape(B, C)
+    left_n = np.arange(1, N, dtype=np.float64) - np.repeat(starts, lens)[:-1]
+    right_n = np.repeat(lens, lens)[:-1] - left_n
+    # a cut after a segment's last row has nothing on its right;
+    # right_n = inf makes its w inf
+    right_n[ends[:-1] - 1] = np.inf
+    # sort key of a cell: ((node * K + rank) << p) | position.  Keys are
+    # distinct, so any sort orders them as a stable sort by (node, rank)
+    # would; the low p bits give the order and equal high bits a tie.
+    p = N.bit_length()
+    key_type = np.uint32 if B * K << p <= 1 << 32 else np.uint64
+    low = key_type((1 << p) - 1)
+    base = np.repeat(np.arange(0, B * K, K, dtype=key_type) << key_type(p), lens)
+    base |= np.arange(N, dtype=key_type)
     sq = (counts * counts).sum(axis=1)
     # With L_c / R_c the class counts left / right of each cut,
     # n*gini = n - sum(counts^2)/n per child.  Moving a row of class c
@@ -172,8 +178,11 @@ def _search(data, rows, feats):
     # not depend on how the sums are formed.
     run = counts.T.ravel()
     occ = np.arange(N) - np.repeat(np.cumsum(run) - run, run)
+    # sum L_c^2 growths in the real part, sum R_c^2 ones in the imaginary:
+    # complex addition adds each part alone, so one scatter and one
+    # cumsum give both running sums, bit for bit
     by_class_l = 2.0 * occ + 1.0
-    by_class_r = by_class_l - 2.0 * np.repeat(run, run)
+    by_class_lr = by_class_l + 1j * (by_class_l - 2.0 * np.repeat(run, run))
 
     best_w = np.full(B, np.inf)
     best_f = np.zeros(B, dtype=np.intp)
@@ -181,60 +190,79 @@ def _search(data, rows, feats):
     for lo in range(0, feats.shape[1], _FEATURE_CHUNK):
         fc = feats[:, lo : lo + _FEATURE_CHUNK]
         flat = (np.arange(fc.shape[1]) * N)[:, None]  # row j of a chunk starts at j*N
-        cell = (fc[0][:, None] if B == 1 else np.repeat(fc.T, lens, axis=1)) + at
-        if B == 1:
-            order = data.rank[cell].argsort(axis=1, kind="stable")
-        elif B * K <= 1 << 16:
-            order = (seg_key + data.rank[cell]).argsort(axis=1, kind="stable")
-        else:
-            # the same (node, rank) radix sort, one digit per pass
-            order = data.rank[cell].argsort(axis=1, kind="stable")
-            order = np.take_along_axis(order, seg[order].argsort(axis=1, kind="stable"), axis=1)
-        by_class = y_rows[order].argsort(axis=1, kind="stable")
-        order += flat
-        xs = X[cell.ravel()[order]]
-        del cell, order             # (here and below) to cap the chunk's peak memory
+        key = data.rank[np.repeat(fc.T, lens, axis=1) + at].astype(key_type)
+        key <<= key_type(p)
+        key += base
+        key.sort(axis=1)
+        order = (key & low).astype(np.intp)     # position of each sorted cell
+        key >>= key_type(p)
+        tie = key[:, 1:] == key[:, :-1]         # equal values: no cut between
+        del key                     # (here and below) to cap the chunk's peak memory
 
+        by_class = y_rows[order].argsort(axis=1, kind="stable")
         by_class += flat
-        ssl = np.empty(xs.shape)
-        ssr = np.empty(xs.shape)
-        ssl.ravel()[by_class] = by_class_l
-        ssr.ravel()[by_class] = by_class_r
+        ss = np.empty(order.shape, dtype=np.complex128)
+        ss.ravel()[by_class] = by_class_lr
         del by_class
         # running sums per segment: sum L_c^2 ends a segment at its
         # sum total_c^2, to be cancelled where the next one starts;
         # sum R_c^2 starts there and ends at 0
-        ssl[:, starts[1:]] -= sq[:-1]
-        ssr[:, starts] += sq
-        np.cumsum(ssl, axis=1, out=ssl)
-        np.cumsum(ssr, axis=1, out=ssr)
-        # w = (left_n - ssl / left_n) + (right_n - ssr / right_n), in place
-        w = ssl[:, :-1]
-        w /= left_n
+        ss[:, starts[1:]] -= sq[:-1]
+        ss[:, starts] += 1j * sq
+        np.cumsum(ss, axis=1, out=ss)
+        # w = (left_n - ssl / left_n) + (right_n - ssr / right_n)
+        w = ss.real[:, :-1] / left_n
         np.subtract(left_n, w, out=w)
-        right = ssr[:, :-1]
-        right /= right_n
+        right = ss.imag[:, :-1] / right_n
+        del ss
         np.subtract(right_n, right, out=right)
         w += right
-        del ssr, right
+        del right
+        np.putmask(w, tie, np.inf)
+        del tie
 
-        mids = xs[:, :-1] + xs[:, 1:]
-        mids *= 0.5
-        np.putmask(w, mids >= xs[:, 1:], np.inf)
-        least = w.min(axis=0)           # per position, over the chunk
-        if B == 1:
-            i = np.argmin(least, keepdims=True)
-            w_min = least[i]
-        else:
-            w_min = np.minimum.reduceat(least, starts)
-            hit = np.flatnonzero(least == np.repeat(w_min, lens)[:-1])
-            i = hit[np.searchsorted(hit, starts)]
-        j = (w[:, i] == w_min).argmax(axis=0)
+        w_min, i, j = _first_minima(w, lens, starts)
+        # thresholds of the winning cuts only; a midpoint that is not
+        # below its upper value (adjacent floats, or a sum overflowing
+        # to +inf) cannot separate them, so that node is searched again
+        # with every such cut of its segment masked
+        won = np.flatnonzero(w_min < np.inf)
+        f_won = fc[won, j[won]]
+        lower = X[at[order[j[won], i[won]]] + f_won]
+        upper = X[at[order[j[won], i[won] + 1]] + f_won]
+        t = np.zeros(B)
+        t[won] = (lower + upper) * 0.5
+        for b in won[t[won] >= upper].tolist():
+            w_min[b], j[b], t[b] = _search_again(X, at, order, w, fc[b], starts[b], ends[b])
         better = w_min < best_w
         best_w[better] = w_min[better]
         best_f[better] = fc[better, j[better]]
-        best_t[better] = mids[j, i][better]
+        best_t[better] = t[better]
     return best_w, best_f, best_t
+
+
+def _first_minima(w, lens, starts):
+    """Each segment's least w of a chunk's (features, cuts) block, the
+    first cut reaching it and the first feature there."""
+    least = w.min(axis=0)               # per cut, over the chunk
+    w_min = np.minimum.reduceat(least, starts)
+    hit = np.flatnonzero(least == np.repeat(w_min, lens)[:-1])
+    i = hit[np.searchsorted(hit, starts)]
+    j = (w[:, i] == w_min).argmax(axis=0)
+    return w_min, i, j
+
+
+def _search_again(X, at, order, w, feats, start, end):
+    """One node's least w over its cuts [start, end - 1) of w, with the
+    chunk column and the threshold of the first cut reaching it, after
+    masking every cut whose midpoint is not below its upper value."""
+    xs = X[at[order[:, start:end]] + feats[:, None]]
+    mids = xs[:, :-1] + xs[:, 1:]
+    mids *= 0.5
+    seg = w[:, start : end - 1]
+    np.putmask(seg, mids >= xs[:, 1:], np.inf)
+    w_min, i, j = _first_minima(seg, [end - start], [0])   # one segment of end - start rows
+    return w_min[0], j[0], mids[j[0], i[0]]
 
 
 @dataclass(frozen=True)
@@ -354,9 +382,15 @@ class DecisionTreeModel:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
+    @cached_property
+    def table(self) -> NodeTable:
+        """The one-tree `NodeTable`, built on first use: a forest's trees
+        route through the forest's own table and never need theirs."""
+        return NodeTable.stack([self])
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node index for every row: the one-tree `NodeTable`."""
-        return NodeTable.stack([self]).route(check_rows(X, self.n_features))[:, 0]
+        return self.table.route(check_rows(X, self.n_features))[:, 0]
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Per-class scores = class proportions of the reached leaf."""

@@ -300,6 +300,20 @@ class TestEnrollAuth:
         assert "Grant" not in out
         assert err.startswith("error: threshold nan")
 
+    def test_verbose_logs_fit_save_and_store_bytes(self, enroll_env, capsys, caplog, tmp_path):
+        caplog.set_level(logging.INFO, logger="handpass")
+        _, csv, _ = enroll_env
+        store = str(tmp_path / "store.json")
+        code, _, _ = run(capsys, "enroll", "-v", "--data", csv, "--store", store,
+                         "--rate", "20", "--trees", "3")
+        assert code == 0
+        timed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("enroll:")]
+        assert len(timed) == 1
+        match = re.fullmatch(r"enroll: fit (\d+\.\d{3}) s, save_store (\d+\.\d{3}) s,"
+                             r" store (\d+) bytes", timed[0])
+        assert match, timed[0]
+        assert int(match[3]) == os.path.getsize(store)
+
     def test_enroll_on_short_slice_fails(self, clean_corpus, tmp_path, capsys):
         csv = str(tmp_path / "D1.csv")
         assert main(["dataset", "--in", clean_corpus, "--slice", "D1",
@@ -407,6 +421,33 @@ class TestInconsistentStore:
         assert code == 1
         assert err.startswith(f"error: store {store}: ")
         assert "serving" not in out and "Grant" not in out
+
+
+class TestRefusedHyperParams:
+    """A hyper-parameter that HyperParams refuses is an error line that
+    names the option (exit 1), given before any model is fitted."""
+
+    @pytest.mark.parametrize("option, value, want", [
+        ("--trees", "0", "n_trees 0 is not an integer >= 1"),
+        ("--knn-k", "0", "k_neighbors 0 is not an integer >= 1"),
+        ("--max-depth", "-1", "max_depth -1 is not an integer >= 0"),
+        ("--svm-epochs", "-1", "svm_epochs -1 is not an integer >= 1"),
+    ])
+    def test_crossval(self, d1_csv, capsys, option, value, want):
+        code, out, err = run(capsys, "crossval", "--data", d1_csv, "--model", "all",
+                             "--k", "3", option, value)
+        assert code == 1
+        assert err == f"error: {option}: {want}\n"
+        assert "cross-validation" not in out
+
+    def test_enroll(self, enroll_env, capsys, tmp_path):
+        _, csv, _ = enroll_env
+        store = str(tmp_path / "store.json")
+        code, out, err = run(capsys, "enroll", "--data", csv, "--store", store,
+                             "--rate", "20", "--trees", "0")
+        assert code == 1
+        assert err == "error: --trees: n_trees 0 is not an integer >= 1\n"
+        assert "enrolled" not in out and not os.path.exists(store)
 
 
 class TestRefusedEnroll:

@@ -204,6 +204,27 @@ class TestKinds:
         assert default_hyper("rf").max_features == "sqrt"
 
 
+class TestHyperParamsChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("n_trees", 0), ("n_trees", -3), ("n_trees", 2.0), ("n_trees", True),
+        ("max_depth", -1), ("max_depth", 1.5),
+        ("k_neighbors", 0), ("k_neighbors", "5"),
+        ("svm_epochs", 0), ("svm_epochs", -1),
+    ])
+    def test_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            HyperParams(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} "):
+            dataclasses.replace(default_hyper("rf"), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_trees", 1), ("max_depth", 0), ("max_depth", None),
+        ("k_neighbors", 1), ("svm_epochs", 1),
+    ])
+    def test_smallest_accepted(self, field, value):
+        assert getattr(HyperParams(**{field: value}), field) == value
+
+
 class TestTrainValidation:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabels):
@@ -297,6 +318,19 @@ class TestDecisionTree:
         with pytest.raises(DimensionMismatch):
             predict(model, np.ones((2, 3)))
 
+    def test_node_table_built_once(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(30, 3))
+        model = train("dt", X, rng.integers(0, 3, size=30))
+        built = []
+        stack = tree_module.NodeTable.stack
+        monkeypatch.setattr(tree_module.NodeTable, "stack",
+                            lambda trees: built.append(len(trees)) or stack(trees))
+        leaves = [model.apply(X) for _ in range(3)]
+        assert built == [1]
+        assert all(np.array_equal(leaves[0], got) for got in leaves[1:])
+        assert np.array_equal(leaves[0], per_tree_apply(model, X))
+
 
 def split_one(X, y_codes, idx, feats, n_classes):
     """The batched split search on a batch of one node."""
@@ -382,6 +416,96 @@ class TestSplitSearch:
         assert sum(idx.size for idx, _ in nodes) <= tree_module._BATCH_CELLS
         want = [onehot_best_split(X, y, idx, feats, 4) for idx, feats in nodes]
         assert best_splits(data, nodes) == want
+
+    def searched_again(self, monkeypatch):
+        """Nodes (as (start, end) segments) that the search had to search
+        again because a winning midpoint did not separate its pair."""
+        calls, real = [], tree_module._search_again
+        monkeypatch.setattr(tree_module, "_search_again",
+                            lambda *args: calls.append(args[-2:]) or real(*args))
+        return calls
+
+    def test_midpoint_on_the_upper_value_is_searched_again(self, monkeypatch):
+        # column 0 parts the classes between adjacent floats whose
+        # midpoint rounds onto the upper one, so no threshold cuts there;
+        # column 1 parts them with one row on the wrong side
+        lo = 1.0 + 2.0 ** -52
+        hi = np.nextafter(lo, 2.0)
+        assert (lo + hi) * 0.5 == hi
+        y = np.repeat([0, 1], 5)
+        X = np.stack([np.repeat([lo, hi], 5), np.arange(10.0)], axis=1)
+        X[4, 1] = 7.5
+        calls = self.searched_again(monkeypatch)
+        idx, feats = np.arange(10), np.arange(2)
+        got = split_one(X, y, idx, feats, 2)
+        assert got == onehot_best_split(X, y, idx, feats, 2)
+        assert got[1] == 1 and calls == [(0, 10)]
+
+    @pytest.mark.parametrize("m, sizes", [(22, (2, 30)), (3, (100, 240))])
+    def test_adjacent_floats_match_onehot_reference(self, monkeypatch, m, sizes):
+        # every column holds three values, each up to two floats up
+        # from it: adjacent pairs whose midpoint rounds onto the upper
+        # value (half of them) or onto the lower one
+        rng = np.random.default_rng(35)
+        X = rng.normal(size=(3, 40))[rng.integers(0, 3, size=(240, 40)), np.arange(40)]
+        steps = rng.integers(0, 3, size=X.shape)
+        for s in (1, 2):
+            X = np.where(steps >= s, np.nextafter(X, np.inf), X)
+        y = rng.integers(0, 3, size=240)
+        nodes = [(rng.choice(240, size=int(rng.integers(*sizes, endpoint=True))),
+                  np.sort(rng.choice(40, size=m, replace=False))) for _ in range(60)]
+        calls = self.searched_again(monkeypatch)
+        want = [onehot_best_split(X, y, idx, feats, 3) for idx, feats in nodes]
+        assert best_splits(SplitData(X, y, 3), nodes) == want
+        assert len(calls) > 5
+
+    def test_overflowing_midpoints_match_onehot_reference(self, monkeypatch):
+        # values near +-1.7e308: two positive ones sum to +inf, a midpoint
+        # that separates nothing; two negative ones sum to -inf, which the
+        # reference (and so the search) keeps as a threshold; equal
+        # neighbours are no cut either way
+        rng = np.random.default_rng(36)
+        vals = np.array([-1.79e308, -1.75e308, -1.7e308, -1e-3, 1e-3, 1.7e308, 1.75e308, 1.79e308])
+        X = vals[rng.integers(0, vals.size, size=(120, 6))]
+        y = rng.integers(0, 2, size=120)
+        nodes = [(rng.choice(120, size=int(rng.integers(2, 60))),
+                  np.sort(rng.choice(6, size=3, replace=False))) for _ in range(80)]
+        calls = self.searched_again(monkeypatch)
+        with np.errstate(over="ignore"):
+            want = [onehot_best_split(X, y, idx, feats, 2) for idx, feats in nodes]
+            assert best_splits(SplitData(X, y, 2), nodes) == want
+        assert calls
+        assert any(np.isneginf(t) for t in (w[2] for w in want if w))
+
+    def test_batch_of_64_bit_keys(self):
+        # 1000 nodes x 4000 ranks, with 14 bits of position: the packed
+        # keys do not fit 32 bits, while all the nodes make one batch
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(4000, 2))
+        y = rng.integers(0, 5, size=4000)
+        data = SplitData(X, y, 5)
+        nodes = [(rng.choice(4000, size=int(rng.integers(2, 30))), np.array([k % 2]))
+                 for k in range(1000)]
+        n = sum(idx.size for idx, _ in nodes)
+        assert n <= tree_module._BATCH_CELLS
+        assert data.n_ranks * len(nodes) << n.bit_length() > 1 << 32
+        want = [onehot_best_split(X, y, idx, feats, 5) for idx, feats in nodes]
+        assert best_splits(data, nodes) == want
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 37])
+    def test_bootstrap_batches_match_onehot_reference(self, n_nodes):
+        # one node alone, two and many, each a sample with repeats, on
+        # tied coarse values; the many-node case spans several batches
+        rng = np.random.default_rng(38 + n_nodes)
+        X = np.round(rng.normal(size=(240, 100)), 1)
+        y = rng.integers(0, 20, size=240)
+        data = SplitData(X, y, 20)
+        for _ in range(5):
+            nodes = [(rng.choice(240, size=int(rng.integers(2, 241))),
+                      np.sort(rng.choice(100, size=10, replace=False)))
+                     for _ in range(n_nodes)]
+            want = [onehot_best_split(X, y, idx, feats, 20) for idx, feats in nodes]
+            assert best_splits(data, nodes) == want
 
     def test_nodes_of_one_row_have_no_split(self):
         X = np.arange(12.0).reshape(6, 2)
