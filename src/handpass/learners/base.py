@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +53,7 @@ class HyperParams:
 
 
 def _check_count(name, value, least):
-    if type(value) is not int or value < least:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} {value!r} is not an integer >= {least}")
 
 

@@ -14,7 +14,6 @@ its equal values, and a threshold is computed only at the winning cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -83,15 +82,16 @@ def best_splits(data: SplitData, nodes) -> list:
     """Best (feature, threshold) of each (rows, features) node of data.
 
     Candidates are midpoints between distinct consecutive sorted values
-    that lie strictly below the upper value; that rules out equal
-    neighbours and a midpoint that rounds onto the upper value (adjacent
-    floats, or a sum that overflows to +inf), neither of which would
-    separate the pair.  Each entry is (children_impurity_sum, feature,
-    threshold) minimizing nl*gini_l + nr*gini_r over the node's
-    features, or None when every one is constant on the node.  Ties go
-    to the first minimum in row-major (position, feature) order within a
-    64-feature chunk, and to the earliest chunk across chunks.  All
-    nodes take the same number of features.
+    that lie at or above the lower value and strictly below the upper
+    one; that rules out equal neighbours, a midpoint that rounds onto the
+    upper value (adjacent floats) and a sum that overflows to +-inf, none
+    of which would separate the pair.  Each entry is
+    (children_impurity_sum, feature, threshold) minimizing
+    nl*gini_l + nr*gini_r over the node's features, or None when every
+    one is constant on the node.  Ties go to the first minimum in
+    row-major (position, feature) order within a 64-feature chunk, and
+    to the earliest chunk across chunks.  All nodes take the same number
+    of features.
 
     Nodes whose cells fit are searched together, smallest first, in
     batches of at most _BATCH_CELLS cells a chunk; a larger node is
@@ -222,17 +222,19 @@ def _search(data, rows, feats):
         del tie
 
         w_min, i, j = _first_minima(w, lens, starts)
-        # thresholds of the winning cuts only; a midpoint that is not
-        # below its upper value (adjacent floats, or a sum overflowing
-        # to +inf) cannot separate them, so that node is searched again
+        # thresholds of the winning cuts only.  A midpoint separates its
+        # pair when lower <= mid < upper (mid == lower sends lower left);
+        # one that rounds onto the upper value (adjacent floats) or whose
+        # sum overflows to +-inf does not, so that node is searched again
         # with every such cut of its segment masked
         won = np.flatnonzero(w_min < np.inf)
         f_won = fc[won, j[won]]
         lower = X[at[order[j[won], i[won]]] + f_won]
         upper = X[at[order[j[won], i[won] + 1]] + f_won]
+        mid = (lower + upper) * 0.5
         t = np.zeros(B)
-        t[won] = (lower + upper) * 0.5
-        for b in won[t[won] >= upper].tolist():
+        t[won] = mid
+        for b in won[(mid < lower) | (mid >= upper)].tolist():
             w_min[b], j[b], t[b] = _search_again(X, at, order, w, fc[b], starts[b], ends[b])
         better = w_min < best_w
         best_w[better] = w_min[better]
@@ -255,12 +257,12 @@ def _first_minima(w, lens, starts):
 def _search_again(X, at, order, w, feats, start, end):
     """One node's least w over its cuts [start, end - 1) of w, with the
     chunk column and the threshold of the first cut reaching it, after
-    masking every cut whose midpoint is not below its upper value."""
+    masking every cut whose midpoint does not separate its pair."""
     xs = X[at[order[:, start:end]] + feats[:, None]]
     mids = xs[:, :-1] + xs[:, 1:]
     mids *= 0.5
     seg = w[:, start : end - 1]
-    np.putmask(seg, mids >= xs[:, 1:], np.inf)
+    np.putmask(seg, (mids < xs[:, :-1]) | (mids >= xs[:, 1:]), np.inf)
     w_min, i, j = _first_minima(seg, [end - start], [0])   # one segment of end - start rows
     return w_min[0], j[0], mids[j[0], i[0]]
 
@@ -382,15 +384,9 @@ class DecisionTreeModel:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    @cached_property
-    def table(self) -> NodeTable:
-        """The one-tree `NodeTable`, built on first use: a forest's trees
-        route through the forest's own table and never need theirs."""
-        return NodeTable.stack([self])
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node index for every row: the one-tree `NodeTable`."""
-        return self.table.route(check_rows(X, self.n_features))[:, 0]
+        return NodeTable.stack([self]).route(check_rows(X, self.n_features))[:, 0]
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Per-class scores = class proportions of the reached leaf."""

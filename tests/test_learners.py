@@ -109,7 +109,7 @@ def onehot_best_split(X, y_codes, idx, feats, n_classes):
         ssr = np.einsum("imc,imc->im", rcounts, rcounts)
         w = (left_n - ssl / left_n) + (right_n - ssr / right_n)
         mids = 0.5 * (Xs[:-1] + Xs[1:])
-        valid = (Xs[1:] > Xs[:-1]) & (mids < Xs[1:])
+        valid = (Xs[1:] > Xs[:-1]) & (Xs[:-1] <= mids) & (mids < Xs[1:])
         w = np.where(valid, w, np.inf)
         if w.size == 0:
             continue
@@ -219,7 +219,7 @@ class TestHyperParamsChecks:
 
     @pytest.mark.parametrize("field, value", [
         ("n_trees", 1), ("max_depth", 0), ("max_depth", None),
-        ("k_neighbors", 1), ("svm_epochs", 1),
+        ("k_neighbors", 1), ("svm_epochs", 1), ("n_trees", np.int64(1)),
     ])
     def test_smallest_accepted(self, field, value):
         assert getattr(HyperParams(**{field: value}), field) == value
@@ -317,19 +317,6 @@ class TestDecisionTree:
         model = train("dt", np.arange(8, dtype=float).reshape(4, 2), [0, 0, 1, 1])
         with pytest.raises(DimensionMismatch):
             predict(model, np.ones((2, 3)))
-
-    def test_node_table_built_once(self, monkeypatch):
-        rng = np.random.default_rng(24)
-        X = rng.normal(size=(30, 3))
-        model = train("dt", X, rng.integers(0, 3, size=30))
-        built = []
-        stack = tree_module.NodeTable.stack
-        monkeypatch.setattr(tree_module.NodeTable, "stack",
-                            lambda trees: built.append(len(trees)) or stack(trees))
-        leaves = [model.apply(X) for _ in range(3)]
-        assert built == [1]
-        assert all(np.array_equal(leaves[0], got) for got in leaves[1:])
-        assert np.array_equal(leaves[0], per_tree_apply(model, X))
 
 
 def split_one(X, y_codes, idx, feats, n_classes):
@@ -460,9 +447,8 @@ class TestSplitSearch:
         assert len(calls) > 5
 
     def test_overflowing_midpoints_match_onehot_reference(self, monkeypatch):
-        # values near +-1.7e308: two positive ones sum to +inf, a midpoint
-        # that separates nothing; two negative ones sum to -inf, which the
-        # reference (and so the search) keeps as a threshold; equal
+        # values near +-1.7e308: two positive ones sum to +inf and two
+        # negative ones to -inf, midpoints that separate nothing; equal
         # neighbours are no cut either way
         rng = np.random.default_rng(36)
         vals = np.array([-1.79e308, -1.75e308, -1.7e308, -1e-3, 1e-3, 1.7e308, 1.75e308, 1.79e308])
@@ -475,7 +461,18 @@ class TestSplitSearch:
             want = [onehot_best_split(X, y, idx, feats, 2) for idx, feats in nodes]
             assert best_splits(SplitData(X, y, 2), nodes) == want
         assert calls
-        assert any(np.isneginf(t) for t in (w[2] for w in want if w))
+        assert all(np.isfinite(w[2]) for w in want if w)
+
+    def test_tree_on_overflowing_midpoints(self):
+        # the midpoint of the pair that parts the classes overflows to
+        # -inf, so the root cuts at the other pair and its left child,
+        # with no cut left, is a leaf
+        X = np.array([[-1.75e308], [-1.7e308], [-1.7e308], [0.0]])
+        with np.errstate(over="ignore"):
+            model = train("dt", X, np.array([0, 1, 1, 1]),
+                          HyperParams(max_features=None, max_depth=5))
+        assert model.n_nodes == 3
+        assert model.threshold[0] == -0.85e308
 
     def test_batch_of_64_bit_keys(self):
         # 1000 nodes x 4000 ranks, with 14 bits of position: the packed
