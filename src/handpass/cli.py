@@ -37,16 +37,12 @@ from .learners import (
     select_subcarriers,
     train,
 )
+from .learners.base import _check_count
 from .learners.importance import subcarrier_importance
 
 log = logging.getLogger("handpass")
 
 MODEL_CHOICES = list(KINDS) + ["all"]
-
-
-def _env_seed(default: int = 42) -> int:
-    raw = os.environ.get("HANDPASS_SEED")
-    return int(raw) if raw else default
 
 
 def _print_config(args: argparse.Namespace) -> None:
@@ -81,19 +77,22 @@ def _hyper_from(args: argparse.Namespace, kind: str) -> HyperParams:
 
 
 def cmd_synth(args) -> int:
-    cfg = synth.SynthConfig(
-        users=args.users,
-        captures_per_user=args.captures,
-        frames_per_capture=args.frames,
-        packets_per_second=args.rate,
-        noise_sigma=args.noise,
-        bump_count=args.bumps,
-        ramp_range=args.ramp,
-        offset_range=args.offset_range,
-        gain_jitter=args.gain_jitter,
-        quant_scale=args.quant_scale,
-        seed=args.seed,
-    )
+    try:
+        cfg = synth.SynthConfig(
+            users=args.users,
+            captures_per_user=args.captures,
+            frames_per_capture=args.frames,
+            packets_per_second=args.rate,
+            noise_sigma=args.noise,
+            bump_count=args.bumps,
+            ramp_range=args.ramp,
+            offset_range=args.offset_range,
+            gain_jitter=args.gain_jitter,
+            quant_scale=args.quant_scale,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # SynthConfig refuses the value
+        raise HandpassError(str(exc)) from exc
     manifest = synth.generate(cfg, args.out)
     n = len(manifest["captures"])
     print(f"wrote {n} captures ({cfg.users} users x {cfg.captures_per_user})"
@@ -157,6 +156,10 @@ def _load_xy(path):
 def cmd_crossval(args) -> int:
     kinds = list(KINDS) if args.model == "all" else [args.model]
     hypers = {kind: _hyper_from(args, kind) for kind in kinds}   # refused before any fit
+    try:
+        _check_count("k", args.k, 2)   # as cross_validate checks it
+    except ValueError as exc:
+        raise HandpassError(f"--k: {exc}") from exc
     report_rows = []
     for data_path in args.data:
         slice_name = os.path.splitext(os.path.basename(data_path))[0]
@@ -300,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=_env_seed(),
-                        help="RNG seed (env HANDPASS_SEED, default 42)")
+    def add_common(sp, seed=True):
+        if seed:  # a string default is parsed, and refused, as --seed would be
+            sp.add_argument("--seed", type=int, default=os.environ.get("HANDPASS_SEED") or 42,
+                            help="RNG seed (env HANDPASS_SEED, default 42)")
         # -v works after the command too; SUPPRESS keeps one given before it
         sp.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,
                         help="log progress and timings")
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="keep left-hand captures (default: right hand only)")
     sp.add_argument("--rate", type=int, default=None,
                     help="packets per second (default: manifest value)")
-    add_common(sp)
+    add_common(sp, seed=False)
     sp.set_defaults(func=cmd_dataset)
 
     sp = sub.add_parser("crossval", help="k-fold cross-validation")
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=float, default=gk.DEFAULT_THRESHOLD)
     sp.add_argument("--permission", default=gk.DEFAULT_PERMISSION)
     sp.add_argument("--log", default=None, help="audit log path")
-    add_common(sp)
+    add_common(sp, seed=False)
     sp.set_defaults(func=cmd_auth)
 
     sp = sub.add_parser("serve", help="run the authentication service")
@@ -389,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--host", default="127.0.0.1")
     sp.add_argument("--port", type=int, default=5501)
     sp.add_argument("--log", default=None)
-    add_common(sp)
+    add_common(sp, seed=False)
     sp.set_defaults(func=cmd_serve)
 
     p.add_argument("-v", "--verbose", action="count", default=0,

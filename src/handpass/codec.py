@@ -83,14 +83,6 @@ class CsiFrame:
         if len(self.source_mac) != 6:
             raise ValueError("source_mac must be 6 bytes")
 
-    @property
-    def core(self) -> int:
-        return self.core_spatial & 0x7
-
-    @property
-    def spatial_stream(self) -> int:
-        return (self.core_spatial >> 3) & 0x7
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CsiFrame):
             return NotImplemented
@@ -123,7 +115,6 @@ class CaptureFile:
     headers: np.ndarray
     ts_sec: np.ndarray
     ts_usec: np.ndarray
-    source_path: str
     link_type: int
     skipped_non_csi: int = 0
     bad_csi: int = 0
@@ -171,15 +162,13 @@ def _gather(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(buf, width)[offsets]
 
 
-def read_capture(path: str, strict: bool = False) -> CaptureFile:
+def read_capture(path: str) -> CaptureFile:
     """Parse a PCAP file and decode every CSI record in it.
 
     Packets that are not CSI (wrong protocol stack, or a payload that does
     not start with CSI_MAGIC) are skipped and counted in
     ``skipped_non_csi``.  Payloads that start with the magic but are not
-    PAYLOAD_LEN bytes long are counted in ``bad_csi``, or raise
-    BadCsiPayload when ``strict`` is set; under ``strict`` a bad payload
-    is reported before a truncated record that follows it.
+    PAYLOAD_LEN bytes long are counted in ``bad_csi``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -244,10 +233,6 @@ def read_capture(path: str, strict: bool = False) -> CaptureFile:
         & (n_payload >= 2) & (at(payload) == magic_lo) & (at(payload + 1) == magic_hi)
     )
     good = is_csi & (n_payload == PAYLOAD_LEN)
-    bad = is_csi & ~good
-    if strict and bad.any():
-        first = int(n_payload[np.argmax(bad)])
-        raise BadCsiPayload(f"payload is {first} bytes, expected {PAYLOAD_LEN}")
     if truncated is not None:
         raise TruncatedRecord(truncated)
 
@@ -258,22 +243,21 @@ def read_capture(path: str, strict: bool = False) -> CaptureFile:
         headers=payloads["header"].copy(),
         ts_sec=records[good, 0],
         ts_usec=records[good, 1],
-        source_path=path,
         link_type=link_type,
         skipped_non_csi=int(len(starts) - is_csi.sum()),
-        bad_csi=int(bad.sum()),
+        bad_csi=int((is_csi & ~good).sum()),
     )
 
 
-def write_capture(capture, path: str, port: int = CSI_UDP_PORT) -> None:
+def write_capture(capture, path: str) -> None:
     """Write the columns of a capture as a little-endian classic PCAP that
     read_capture reads back.
 
     ``capture`` holds ``csi``, ``headers``, ``ts_sec`` and ``ts_usec`` as
     a CaptureFile does.  Each record is one packet with deterministic
-    Ethernet/IPv4/UDP headers, and all records go out as one block.  A
-    timestamp outside the record header's uint32 raises ValueError before
-    the file is opened.
+    Ethernet/IPv4/UDP headers, to and from CSI_UDP_PORT, and all records
+    go out as one block.  A timestamp outside the record header's uint32
+    raises ValueError before the file is opened.
     """
     for name in ("ts_sec", "ts_usec"):
         column = np.asarray(getattr(capture, name))
@@ -295,7 +279,7 @@ def write_capture(capture, path: str, port: int = CSI_UDP_PORT) -> None:
     total = np.ascontiguousarray(ip).view((">u2", 10)).sum(axis=1, dtype=np.uint32)
     total = (total & 0xFFFF) + (total >> 16)
     ip["checksum"] = ~((total & 0xFFFF) + (total >> 16)) & 0xFFFF
-    records["udp"] = (port, port, 8 + PAYLOAD_LEN, 0)
+    records["udp"] = (CSI_UDP_PORT, CSI_UDP_PORT, 8 + PAYLOAD_LEN, 0)
     records["payload"]["header"] = capture.headers
     records["payload"]["csi"] = capture.csi
     with open(path, "wb") as fh:

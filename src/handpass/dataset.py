@@ -68,10 +68,6 @@ class FeatureRow:
     meta: CaptureMeta
     frame_index: int
 
-    @property
-    def label(self) -> int:
-        return self.meta.user_id
-
 
 @dataclass
 class FeatureMatrix:
@@ -124,9 +120,8 @@ class FeatureMatrix:
 
 @dataclass
 class DatasetSlice:
-    name: str
-    seconds_per_capture: int
-    captures_used: tuple
+    """The rows of one standard slicing."""
+
     rows: FeatureMatrix
 
 
@@ -230,7 +225,7 @@ def slice_dataset(
     """
     if slice_name not in SLICE_DEFS:
         raise ValueError(f"unknown slice {slice_name!r}; expected one of {sorted(SLICE_DEFS)}")
-    seconds, captures_used = SLICE_DEFS[slice_name]
+    seconds, captures = SLICE_DEFS[slice_name]
     need = math.ceil(seconds * packets_per_second)
 
     pool = [r for r in rows if not right_hand_only or r.meta.hand == "Right"]
@@ -246,7 +241,7 @@ def slice_dataset(
     users = sorted({u for u, _ in by_key})
     picked = []
     for user in users:
-        for cap in captures_used:
+        for cap in captures:
             have = by_key.get((user, cap))
             if have is None:
                 raise InsufficientRows(f"user {user} has no capture {cap}")
@@ -258,12 +253,7 @@ def slice_dataset(
             picked.extend(have[:need])
 
     names = _layout_names(width) or tuple(f"f_{i}" for i in range(width))
-    return DatasetSlice(
-        name=slice_name,
-        seconds_per_capture=seconds,
-        captures_used=captures_used,
-        rows=FeatureMatrix.from_rows(picked, names),
-    )
+    return DatasetSlice(rows=FeatureMatrix.from_rows(picked, names))
 
 
 def write_csv(m: FeatureMatrix, path) -> None:
@@ -282,7 +272,9 @@ def write_csv(m: FeatureMatrix, path) -> None:
 
 
 def read_csv(path) -> FeatureMatrix:
-    """Read a CSV written by write_csv; width mismatches raise RaggedRows.
+    """Read a CSV written by write_csv.  A row of the wrong width, or
+    with a feature that is not a float or a capture or user_id that is
+    not an integer, raises RaggedRows naming its line.
 
     Each row becomes float64 as it is read, so no list of Python floats
     for the whole file is held.
@@ -303,11 +295,14 @@ def read_csv(path) -> FeatureMatrix:
                 raise RaggedRows(
                     f"{path}:{lineno}: {len(parts)} fields, expected {d + 4}"
                 )
-            feats.append(np.fromiter(map(float, parts[:d]), np.float64, d))
-            caps.append(int(parts[d]))
+            try:
+                feats.append(np.fromiter(map(float, parts[:d]), np.float64, d))
+                caps.append(int(parts[d]))
+                users.append(int(parts[d + 3]))
+            except ValueError as exc:
+                raise RaggedRows(f"{path}:{lineno}: {exc}") from exc
             genders.append(parts[d + 1])
             hands.append(parts[d + 2])
-            users.append(int(parts[d + 3]))
     return FeatureMatrix(
         features=np.stack(feats) if feats else np.empty((0, d)),
         feature_names=fnames,

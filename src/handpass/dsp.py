@@ -14,9 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .codec import N_SUBCARRIERS
 from .errors import DimensionMismatch, EmptyMatrix, NonFiniteFeature, OddLength
 
-N_SUBCARRIERS = 256
 LOGICAL_INDICES = np.arange(-128, 128)
 
 # Subcarriers that carry no channel information at 80 MHz: guard/DC bins

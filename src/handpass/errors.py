@@ -40,7 +40,8 @@ class DimensionMismatch(HandpassError):
 # dataset assembly
 
 class RaggedRows(HandpassError):
-    """A CSV row has a different field count than the header."""
+    """A CSV row has a different field count than the header, or a field
+    that does not parse as its column's number."""
 
 
 class InsufficientRows(HandpassError):
@@ -81,7 +82,3 @@ class BadPolicy(HandpassError):
 
 class BadRequest(HandpassError):
     """A service request line that is not an authenticate request."""
-
-
-class NotReady(HandpassError):
-    """The service was started without an enrollment store."""

@@ -31,7 +31,6 @@ from .errors import (
     BadRequest,
     DegenerateLabels,
     HandpassError,
-    NotReady,
     TooFewFrames,
     WindowTooShort,
     ZeroSignal,
@@ -301,7 +300,7 @@ class AuthServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, endpoint, store: EnrollmentStore | None, log: AuditLog | None = None):
+    def __init__(self, endpoint, store: EnrollmentStore, log: AuditLog | None = None):
         self.store = store
         self.log = log
         super().__init__(endpoint, _AuthHandler)
@@ -331,13 +330,10 @@ class _AuthHandler(socketserver.StreamRequestHandler):
         req, csi = _read_request(raw)
         if not isinstance(req, dict) or req.get("op") != "authenticate":
             raise BadRequest("expected op=authenticate")
-        store = self.server.store
-        if store is None:
-            raise NotReady("no enrollment store loaded")
         if "capture" in req or "frames" not in req:
             raise BadRequest("need inline frames; no capture file is read")
         decision = authenticate(
-            store,
+            self.server.store,
             _inline_csi(req["frames"]) if csi is None else csi,
             window_seconds=req.get("window_seconds", DEFAULT_WINDOW_SECONDS),
             threshold=req.get("threshold", DEFAULT_THRESHOLD),

@@ -14,7 +14,7 @@ from .bayes import GaussianNbModel
 from .forest import RandomForestModel
 from .importance import feature_importance, select_subcarriers
 from .neighbors import KnnModel
-from .persist import load_model, model_from_doc, model_to_doc, save_model
+from .persist import model_from_doc, model_to_doc
 from .svm import LinearSvmModel
 from .tree import DecisionTreeModel, gini
 from .validate import (
@@ -47,8 +47,6 @@ __all__ = [
     "confusion_matrix",
     "metrics_from_confusion",
     "CvReport",
-    "save_model",
-    "load_model",
     "model_to_doc",
     "model_from_doc",
 ]

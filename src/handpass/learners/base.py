@@ -30,26 +30,28 @@ class HyperParams:
     """Knobs for all five model kinds; irrelevant fields are ignored.
 
     max_features applies per split: None = all, "sqrt" = round(sqrt(d)),
-    or an explicit count.  Construction refuses, with ValueError, counts
-    that fit no model: n_trees, k_neighbors or svm_epochs below 1, and a
-    max_depth below 0.
+    or an explicit count.  Construction refuses, with ValueError, values
+    that fit no model: n_trees, k_neighbors, svm_epochs or a max_features
+    count below 1, a max_depth below 0 and a bootstrap that is not a
+    bool.  A count above the feature width is refused at fit time.
     """
 
     n_trees: int = 100
     max_features: object = "sqrt"
     bootstrap: bool = True
     max_depth: int | None = None
-    min_samples_split: int = 2
     k_neighbors: int = 5
-    var_smoothing: float = 1e-9
     svm_epochs: int = 200
-    svm_reg: float = 1e-4
 
     def __post_init__(self):
         for name in ("n_trees", "k_neighbors", "svm_epochs"):
             _check_count(name, getattr(self, name), 1)
         if self.max_depth is not None:
             _check_count("max_depth", self.max_depth, 0)
+        if self.max_features not in (None, "sqrt"):
+            _check_count("max_features", self.max_features, 1)
+        if type(self.bootstrap) is not bool:
+            raise ValueError(f"bootstrap {self.bootstrap!r} is not true or false")
 
 
 def _check_count(name, value, least):
@@ -105,7 +107,7 @@ def train(kind: str, matrix, labels, hyper: HyperParams | None = None, seed: int
     if kind == "KNN":
         return fit_knn(X, codes, classes, hyper)
     if kind == "GaussianNB":
-        return fit_gnb(X, codes, classes, hyper)
+        return fit_gnb(X, codes, classes)
     return fit_svm(X, codes, classes, hyper)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 from .rows import check_rows
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_VAR_SMOOTHING = 1e-9
 
 
 @dataclass
@@ -56,7 +57,7 @@ class GaussianNbModel:
         return p / p.sum(axis=1, keepdims=True)
 
 
-def fit_gnb(X, y_codes, classes, hyper) -> GaussianNbModel:
+def fit_gnb(X, y_codes, classes) -> GaussianNbModel:
     n, d = X.shape
     C = classes.shape[0]
     means = np.empty((C, d))
@@ -68,9 +69,9 @@ def fit_gnb(X, y_codes, classes, hyper) -> GaussianNbModel:
         variances[c] = rows.var(axis=0)
         priors[c] = rows.shape[0] / n
     # absolute smoothing floor scaled to the data's largest feature variance
-    eps = hyper.var_smoothing * float(X.var(axis=0).max())
+    eps = _VAR_SMOOTHING * float(X.var(axis=0).max())
     if eps <= 0.0:
-        eps = hyper.var_smoothing
+        eps = _VAR_SMOOTHING
     variances += eps
     return GaussianNbModel(
         classes=classes,

@@ -11,7 +11,6 @@ the saved one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields
 
 import numpy as np
@@ -79,13 +78,3 @@ def model_from_doc(doc: dict):
     if missing:
         raise ValueError(f"model document lacks {sorted(missing)}")
     return _build(doc["kind"], np.array(doc["classes"]), doc["params"])
-
-
-def save_model(model, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(model_to_doc(model), fh)
-
-
-def load_model(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return model_from_doc(json.load(fh))

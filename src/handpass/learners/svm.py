@@ -17,6 +17,8 @@ import numpy as np
 
 from .rows import check_rows
 
+_LAMBDA = 1e-4  # the L2 regularization weight
+
 
 @dataclass
 class LinearSvmModel:
@@ -51,7 +53,7 @@ class LinearSvmModel:
 def fit_svm(X, y_codes, classes, hyper) -> LinearSvmModel:
     n, d = X.shape
     C = classes.shape[0]
-    lam = hyper.svm_reg
+    lam = _LAMBDA
     Xb = np.hstack([X, np.ones((n, 1))])
     Y = np.where(y_codes[:, None] == np.arange(C)[None, :], 1.0, -1.0)  # (n, C)
     W = np.zeros((C, d + 1))

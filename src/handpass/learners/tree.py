@@ -431,8 +431,8 @@ def grow_trees(data: SplitData, classes, hyper, starts) -> list:
         impurity = 1.0 - (counts * counts).sum(axis=1) / (n * n)
         feature = np.full(B, -1, dtype=np.int32)
         threshold = np.zeros(B)
-        grow = np.flatnonzero((impurity > 0.0) & (n >= hyper.min_samples_split)
-                              & (np.array(depth) < max_depth)).tolist()
+        # a one-row node has impurity 0, so a grown node has two rows or more
+        grow = np.flatnonzero((impurity > 0.0) & (np.array(depth) < max_depth)).tolist()
         nodes = [
             (rows[k], np.sort(rngs[live[k]].choice(d, size=max_feat, replace=False))
              if max_feat < d else all_feats)

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..dsp import fit_scaler
 from ..errors import TooFewSamples
-from .base import HyperParams, predict, train
+from .base import HyperParams, _check_count, predict, train
 
 
 def stratified_folds(labels, k: int, seed: int = 0) -> np.ndarray:
@@ -62,10 +62,6 @@ def metrics_from_confusion(cm: np.ndarray) -> dict:
 
 @dataclass
 class CvReport:
-    kind: str
-    k: int
-    seed: int
-    classes: np.ndarray
     fold_accuracy: list = field(default_factory=list)
     fold_precision: list = field(default_factory=list)
     fold_recall: list = field(default_factory=list)
@@ -90,11 +86,6 @@ class CvReport:
     def mean_f1(self) -> float:
         return float(np.mean(self.fold_f1))
 
-    @property
-    def pooled_accuracy(self) -> float:
-        """Accuracy over all folds' predictions pooled together."""
-        return float(np.trace(self.confusion) / self.confusion.sum())
-
 
 def cross_validate(
     kind: str,
@@ -111,8 +102,10 @@ def cross_validate(
 
     scaler names an optional feature scaling fitted on the full matrix
     up front; per_fold_scaler refits it on each fold's training rows
-    instead (no information from the held-out fold).
+    instead (no information from the held-out fold).  A k that is not an
+    integer >= 2 raises ValueError.
     """
+    _check_count("k", k, 2)
     X = np.asarray(matrix, dtype=np.float64)
     y = np.asarray(labels)
     classes = np.unique(y)
@@ -120,13 +113,7 @@ def cross_validate(
     if scaler is not None and not per_fold_scaler:
         X = fit_scaler(scaler, X).transform(X)
 
-    report = CvReport(
-        kind=kind,
-        k=k,
-        seed=seed,
-        classes=classes,
-        confusion=np.zeros((len(classes), len(classes)), dtype=np.int64),
-    )
+    report = CvReport(confusion=np.zeros((len(classes), len(classes)), dtype=np.int64))
     for f in range(k):
         test = folds == f
         Xtr, ytr = X[~test], y[~test]

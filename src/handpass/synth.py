@@ -12,6 +12,8 @@ is a software-verification stand-in, not a physical channel model.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 
@@ -44,14 +46,22 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
+        """Refuse, with ValueError, a count that is not an integer >= 1
+        and an amount that is not a finite number >= 0; bools are
+        neither."""
         for name in ("users", "captures_per_user", "frames_per_capture",
                      "packets_per_second", "bump_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} {value!r} is not an integer >= 1")
+            object.__setattr__(self, name, int(value))  # numpy numbers are not JSON
         for name in ("noise_sigma", "ramp_range", "offset_range",
                      "gain_jitter", "quant_scale"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+                    or not 0 <= value < math.inf:
+                raise ValueError(f"{name} {value!r} is not a finite number >= 0")
+            object.__setattr__(self, name, float(value))
 
 
 def _user_gender(user_id: int) -> str:
@@ -113,7 +123,7 @@ def _capture(cfg: SynthConfig, user_id: int, capture_number: int) -> CaptureFile
     headers["sequence_number"] = t & 0xFFFF
     micros = t * (1_000_000 // cfg.packets_per_second)
     return CaptureFile(csi=csi, headers=headers, ts_sec=micros // 1_000_000,
-                       ts_usec=micros % 1_000_000, source_path=None, link_type=1)
+                       ts_usec=micros % 1_000_000, link_type=1)
 
 
 def generate(cfg: SynthConfig, out_dir) -> dict:
@@ -158,11 +168,3 @@ def load_manifest(path) -> dict:
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"not a {MANIFEST_FORMAT} document")
     return manifest
-
-
-def oracle_labels(manifest: dict) -> np.ndarray:
-    """Ground-truth user id per frame, in manifest entry order."""
-    out = []
-    for entry in manifest["captures"]:
-        out.extend([entry["user_id"]] * entry["frames"])
-    return np.array(out, dtype=np.int64)

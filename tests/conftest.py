@@ -45,7 +45,6 @@ def capture_of(frames) -> CaptureFile:
         ], dtype=HEADER_DTYPE),
         ts_sec=np.array([f.ts_sec for f in frames], dtype=np.uint32),
         ts_usec=np.array([f.ts_usec for f in frames], dtype=np.uint32),
-        source_path=None,
         link_type=1,
     )
 

@@ -67,6 +67,26 @@ class TestPlumbing:
         assert code == 0
         assert config_line(out)["seed"] == 77
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "x"], ["crossval", "--data", "x.csv"],
+        ["select", "--data", "x.csv"], ["enroll", "--data", "x.csv"],
+    ])
+    def test_seed_from_environment_not_an_integer(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("HANDPASS_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dataset", "auth", "serve"])
+    def test_commands_that_draw_no_random_number_take_no_seed(self, capsys, monkeypatch,
+                                                              command):
+        monkeypatch.setenv("HANDPASS_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--seed" not in capsys.readouterr().out
+
     def test_unknown_model_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["crossval", "--data", "whatever.csv", "--model", "xgboost"])
@@ -424,14 +444,17 @@ class TestInconsistentStore:
 
 
 class TestRefusedHyperParams:
-    """A hyper-parameter that HyperParams refuses is an error line that
-    names the option (exit 1), given before any model is fitted."""
+    """A hyper-parameter that HyperParams refuses, or a fold count that
+    cross_validate refuses, is an error line that names the option
+    (exit 1), given before any model is fitted."""
 
     @pytest.mark.parametrize("option, value, want", [
         ("--trees", "0", "n_trees 0 is not an integer >= 1"),
         ("--knn-k", "0", "k_neighbors 0 is not an integer >= 1"),
         ("--max-depth", "-1", "max_depth -1 is not an integer >= 0"),
         ("--svm-epochs", "-1", "svm_epochs -1 is not an integer >= 1"),
+        ("--k", "0", "k 0 is not an integer >= 2"),
+        ("--k", "1", "k 1 is not an integer >= 2"),
     ])
     def test_crossval(self, d1_csv, capsys, option, value, want):
         code, out, err = run(capsys, "crossval", "--data", d1_csv, "--model", "all",
@@ -448,6 +471,45 @@ class TestRefusedHyperParams:
         assert code == 1
         assert err == "error: --trees: n_trees 0 is not an integer >= 1\n"
         assert "enrolled" not in out and not os.path.exists(store)
+
+
+class TestRefusedSynth:
+    """A synth setting that SynthConfig refuses is an error line (exit 1),
+    and no capture is written."""
+
+    @pytest.mark.parametrize("option, value, want", [
+        ("--noise", "nan", "noise_sigma nan is not a finite number >= 0"),
+        ("--ramp", "inf", "ramp_range inf is not a finite number >= 0"),
+        ("--offset-range", "nan", "offset_range nan is not a finite number >= 0"),
+        ("--users", "0", "users 0 is not an integer >= 1"),
+    ])
+    def test_refused(self, capsys, tmp_path, option, value, want):
+        out_dir = tmp_path / "corpus"
+        code, _, err = run(capsys, "synth", "--out", str(out_dir), "--users", "2",
+                           "--captures", "1", "--frames", "3", "--rate", "4", option, value)
+        assert code == 1
+        assert err == f"error: {want}\n"
+        assert not out_dir.exists()
+
+
+class TestUnparsableCsv:
+    """A CSV cell that does not parse is an error line naming the file and
+    line (exit 1) in every command that reads a slice CSV."""
+
+    @pytest.mark.parametrize("command", ["crossval", "select", "enroll"])
+    @pytest.mark.parametrize("column, cell", [(0, "x"), (-4, "one")])
+    def test_refused(self, d1_csv, capsys, tmp_path, command, column, cell):
+        lines = open(d1_csv).read().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = cell
+        lines[2] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        extra = ["--store", str(tmp_path / "store.json")] if command == "enroll" else []
+        code, _, err = run(capsys, command, "--data", str(bad), *extra)
+        assert code == 1
+        assert err.startswith(f"error: {bad}:3: ") and f"'{cell}'" in err
+        assert not (tmp_path / "store.json").exists()
 
 
 class TestRefusedEnroll:

@@ -31,7 +31,8 @@ def flat_row(width, user, cap, idx, hand="Right"):
 
 class TestMeta:
     def test_label_is_user_id(self):
-        assert flat_row(4, 7, 1, 0).label == 7
+        m = FeatureMatrix.from_rows([flat_row(4, 7, 1, 0)], feature_names()[:4])
+        assert m.labels.tolist() == [7]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -263,16 +264,25 @@ class TestCsv:
         with pytest.raises(RaggedRows):
             read_csv(path)
 
-    def test_bad_fields_raise_what_they_raised(self, tmp_path):
+    @pytest.mark.parametrize("column, cell, message", [
+        (0, "abc", "could not convert string to float: 'abc'"),
+        (2, "x", "could not convert string to float: 'x'"),
+        (3, "one", "invalid literal for int() with base 10: 'one'"),    # capture
+        (6, "7.5", "invalid literal for int() with base 10: '7.5'"),    # user_id
+    ], ids=["feature-abc", "feature-x", "capture", "user_id"])
+    def test_bad_fields_name_their_line(self, tmp_path, column, cell, message):
         m = self.make_matrix(width=3)
         path = tmp_path / "rows.csv"
         write_csv(m, path)
         lines = path.read_text().splitlines()
         good = lines[:]
-        lines[3] = "abc" + lines[3][lines[3].index(","):]
+        fields = lines[3].split(",")
+        fields[column] = cell
+        lines[3] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+        with pytest.raises(RaggedRows) as exc:
             read_csv(path)
+        assert str(exc.value) == f"{path}:4: {message}"
         good[4] += ",1"
         path.write_text("\n".join(good) + "\n")
         with pytest.raises(RaggedRows, match=r"rows\.csv:5: 8 fields, expected 7$"):

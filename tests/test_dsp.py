@@ -10,7 +10,6 @@ from handpass.codec import CsiFrame
 from handpass.dataset import features, frame_to_features
 from handpass.dsp import (
     FittedScaler,
-    N_SUBCARRIERS,
     SanitizerConfig,
     SubcarrierMask,
     fft_shift,

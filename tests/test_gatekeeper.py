@@ -482,12 +482,6 @@ class TestServer:
         assert reply["ok"] is True
         assert reply["decision"]["user_id"] == 1
 
-    def test_not_ready_without_store(self):
-        with running(None) as addr:
-            (reply,) = ask(addr, {"op": "authenticate", "frames": []})
-        assert reply["ok"] is False
-        assert reply["error"]["code"] == "not-ready"
-
     def test_bad_json_then_good_request_same_connection(self, auth_env):
         store, probes, _ = auth_env
         frames = probes[1][:20].tolist()

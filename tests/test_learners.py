@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -25,12 +26,10 @@ from handpass.learners import (
     cross_validate,
     default_hyper,
     feature_importance,
-    load_model,
     model_from_doc,
     model_to_doc,
     predict,
     predict_scores,
-    save_model,
     select_subcarriers,
     stratified_folds,
     train,
@@ -210,6 +209,9 @@ class TestHyperParamsChecks:
         ("max_depth", -1), ("max_depth", 1.5),
         ("k_neighbors", 0), ("k_neighbors", "5"),
         ("svm_epochs", 0), ("svm_epochs", -1),
+        ("max_features", 2.7), ("max_features", True), ("max_features", "log2"),
+        ("max_features", 0), ("max_features", "3"),
+        ("bootstrap", "no"), ("bootstrap", 1), ("bootstrap", None),
     ])
     def test_refused(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -220,6 +222,8 @@ class TestHyperParamsChecks:
     @pytest.mark.parametrize("field, value", [
         ("n_trees", 1), ("max_depth", 0), ("max_depth", None),
         ("k_neighbors", 1), ("svm_epochs", 1), ("n_trees", np.int64(1)),
+        ("max_features", 1), ("max_features", np.int64(1)), ("max_features", None),
+        ("max_features", "sqrt"), ("bootstrap", False),
     ])
     def test_smallest_accepted(self, field, value):
         assert getattr(HyperParams(**{field: value}), field) == value
@@ -270,12 +274,6 @@ class TestDecisionTree:
         model = train("dt", X, y, HyperParams(max_depth=2, max_features=None))
         # depth 2 allows at most 7 nodes
         assert model.n_nodes <= 7
-
-    def test_min_samples_split(self):
-        X = np.arange(8, dtype=float).reshape(-1, 1)
-        y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        model = train("dt", X, y, HyperParams(min_samples_split=9, max_features=None))
-        assert model.n_nodes == 1  # root is an unsplit leaf
 
     def test_root_split_matches_brute_force(self):
         rng = np.random.default_rng(22)
@@ -711,8 +709,8 @@ class TestLockstepForestMatchesPerTree:
         {"max_depth": 0},
         {"max_depth": 1},
         {"max_depth": 3},
-        {"min_samples_split": 5},
-        {"min_samples_split": 50},
+        {"max_features": 1},
+        {"max_depth": 2, "bootstrap": False},
         {"n_trees": 1},
         {"n_trees": 1, "bootstrap": False, "max_features": None},
         {"n_trees": 100},
@@ -903,6 +901,17 @@ class TestCrossValidate:
         with pytest.raises(NonFiniteFeature, match="^feature matrix contains NaN or infinity$"):
             cross_validate("dt", X, y, k=3, scaler=scaler, per_fold_scaler=per_fold_scaler)
 
+    @pytest.mark.parametrize("k", [0, 1, -2, 2.0, True, "3", None])
+    def test_k_refused(self, k):
+        X, y = blobs(np.random.default_rng(36), n_per=12, n_classes=3)
+        with pytest.raises(ValueError, match=f"^k {re.escape(repr(k))} is not an integer >= 2$"):
+            cross_validate("dt", X, y, k=k)
+
+    def test_k_two_and_numpy_integers_accepted(self):
+        X, y = blobs(np.random.default_rng(36), n_per=12, n_classes=3)
+        assert len(cross_validate("dt", X, y, k=2).fold_f1) == 2
+        assert len(cross_validate("dt", X, y, k=np.int64(3)).fold_f1) == 3
+
     def test_fold_balance(self):
         y = np.repeat([0, 1, 2], [25, 17, 9])
         folds = stratified_folds(y, k=4, seed=1)
@@ -916,7 +925,6 @@ class TestCrossValidate:
         for kind in ("dt", "knn"):
             report = cross_validate(kind, X, y, k=4)
             assert report.mean_f1 == 1.0
-            assert report.pooled_accuracy == 1.0
             assert np.array_equal(report.confusion, np.diag([12, 12, 12]))
 
     def test_confusion_rows_are_class_counts(self):
@@ -925,16 +933,6 @@ class TestCrossValidate:
         y = np.repeat([0, 1], [24, 16])
         report = cross_validate("nb", X, y, k=4)
         assert report.confusion.sum(axis=1).tolist() == [24, 16]
-
-    def test_pooled_accuracy_matches_confusion(self):
-        rng = np.random.default_rng(40)
-        X = rng.normal(size=(36, 3))
-        y = np.repeat([0, 1, 2], 12)
-        report = cross_validate("nb", X, y, k=3)
-        cm = report.confusion
-        assert report.pooled_accuracy == pytest.approx(
-            np.trace(cm) / cm.sum(), abs=1e-12
-        )
 
     def test_deterministic(self):
         rng = np.random.default_rng(41)
@@ -1077,34 +1075,27 @@ class TestSelectSubcarriers:
 
 class TestPersistence:
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_roundtrip_predictions(self, kind, tmp_path):
+    def test_roundtrip_predictions(self, kind):
         rng = np.random.default_rng(46)
         X, y = blobs(rng, n_per=10, n_classes=3, spread=1.5)
         model = train(kind, X, y, seed=8)
-        path = tmp_path / f"{kind}.json"
-        save_model(model, path)
-        back = load_model(path)
+        back = model_from_doc(json.loads(json.dumps(model_to_doc(model))))
         assert type(back) is MODEL_CLASSES[canonical_kind(kind)]
         Q = rng.normal(size=(20, 4)) * 2
         assert np.array_equal(predict(model, Q), predict(back, Q))
         assert np.allclose(predict_scores(model, Q), predict_scores(back, Q), atol=0)
 
-    def test_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "pickle", "version": 1}')
+    def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
-            load_model(path)
+            model_from_doc({"format": "pickle", "version": 1})
 
-    def test_rejects_wrong_version(self, tmp_path):
+    def test_rejects_wrong_version(self):
         rng = np.random.default_rng(47)
         X, y = blobs(rng, n_per=5, n_classes=2)
-        path = tmp_path / "m.json"
-        save_model(train("nb", X, y), path)
-        doc = json.loads(path.read_text())
+        doc = model_to_doc(train("nb", X, y))
         doc["version"] = 99
-        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
-            load_model(path)
+            model_from_doc(doc)
 
 
 def _last_inner(t):

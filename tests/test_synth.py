@@ -69,6 +69,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             synth.SynthConfig(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "ramp_range", "offset_range",
+                                       "gain_jitter", "quant_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       np.float64("nan"), True, "0.5", None])
+    def test_amount_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} .* is not a finite number >= 0$"):
+            synth.SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["users", "captures_per_user", "frames_per_capture",
+                                       "packets_per_second", "bump_count"])
+    @pytest.mark.parametrize("value", [2.0, 1.5, True, "3", None, float("nan")])
+    def test_count_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} .* is not an integer >= 1$"):
+            synth.SynthConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self, tmp_path):
+        cfg = tiny(users=np.int64(2), frames_per_capture=np.int32(3), noise_sigma=np.float32(0.5))
+        assert type(cfg.users) is int and cfg.users == 2
+        assert type(cfg.noise_sigma) is float and cfg.noise_sigma == 0.5
+        manifest = synth.generate(cfg, tmp_path)  # the manifest's config is JSON
+        assert manifest["config"]["users"] == 2 and len(manifest["captures"]) == 4
+
     def test_gender_alternates(self):
         assert [synth._user_gender(u) for u in (1, 2, 3, 4)] == ["M", "F", "M", "F"]
 
@@ -137,16 +159,6 @@ class TestGenerate:
 
 
 class TestGroundTruth:
-    def test_oracle_labels_expand_frames(self, tmp_path):
-        manifest = synth.generate(tiny(), tmp_path)
-        labels = synth.oracle_labels(manifest)
-        assert labels.shape == (3 * 2 * 8,)
-        assert labels[:16].tolist() == [1] * 16
-        assert sorted(set(labels.tolist())) == [1, 2, 3]
-
-    def test_oracle_labels_empty(self):
-        assert synth.oracle_labels({"captures": []}).shape == (0,)
-
     def test_noiseless_frames_collapse_per_user(self, tmp_path):
         manifest = synth.generate(quiet(), tmp_path)
         m = matrix_from(manifest, tmp_path)
