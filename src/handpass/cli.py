@@ -37,8 +37,8 @@ from .learners import (
     select_subcarriers,
     train,
 )
-from .learners.base import _check_count
 from .learners.importance import subcarrier_importance
+from .learners.rows import _check_count
 
 log = logging.getLogger("handpass")
 
@@ -298,6 +298,17 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's seeded generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not an integer >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="handpass", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, seed=True):
         if seed:  # a string default is parsed, and refused, as --seed would be
-            sp.add_argument("--seed", type=int, default=os.environ.get("HANDPASS_SEED") or 42,
+            sp.add_argument("--seed", type=_seed, default=os.environ.get("HANDPASS_SEED") or 42,
                             help="RNG seed (env HANDPASS_SEED, default 42)")
         # -v works after the command too; SUPPRESS keeps one given before it
         sp.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +37,12 @@ SLICE_DEFS = {
     "D5": (5, (1, 2, 3)),
     "D6": (5, (1, 2, 3, 4, 5)),
 }
+
+# The pipeline's preprocessing, defined once: build_rows makes enrollment
+# rows and gatekeeper.authenticate makes request rows with this mask and
+# sanitizer, and a store document records them.
+_MASK = SubcarrierMask()
+_SANITIZER = SanitizerConfig()
 
 
 @dataclass(frozen=True)
@@ -125,11 +130,9 @@ class DatasetSlice:
     rows: FeatureMatrix
 
 
-def feature_names(mask: SubcarrierMask | None = None, prune: bool = False) -> tuple:
+def feature_names(prune: bool = False) -> tuple:
     """Column names amp_<k>, phase_<k> with k the logical subcarrier index."""
-    if mask is None:
-        mask = SubcarrierMask()
-    ks = list(mask.useful) if prune else list(range(-128, 128))
+    ks = list(_MASK.useful) if prune else list(range(-128, 128))
     return tuple(f"amp_{k}" for k in ks) + tuple(f"phase_{k}" for k in ks)
 
 
@@ -180,20 +183,14 @@ def frame_to_features(
     return X[0]
 
 
-@cache
-def _defaults() -> tuple:
-    """The default mask and sanitizer, built once on first use."""
-    return SubcarrierMask(), SanitizerConfig()
-
-
 def build_rows(capture: CaptureFile, meta: CaptureMeta, prune: bool = True) -> tuple:
-    """Convert every frame of a capture into a FeatureRow, with the default
-    mask and sanitizer that ``gatekeeper.enroll`` stores.
+    """Convert every frame of a capture into a FeatureRow, with the
+    pipeline's mask and sanitizer.
 
     Returns (rows, dropped) where dropped counts all-zero frames that
     cannot be normalized.
     """
-    X, kept = features(capture.csi, *_defaults(), prune)
+    X, kept = features(capture.csi, _MASK, _SANITIZER, prune)
     rows = [
         FeatureRow(features=x, meta=meta, frame_index=int(i))
         for x, i in zip(X, np.flatnonzero(kept))

@@ -2,8 +2,9 @@
 
 Turns blocks of raw hardware-order subcarrier samples, one frame per
 row, into sanitized amplitude and phase rows: FFT shift into logical
-order, per-frame amplitude normalization, ridge-regularized linear phase detrending over the useful
-subcarriers, and the three dataset-level feature scalers.
+order, per-frame amplitude normalization, ridge-regularized linear phase
+detrending over the unwrapped useful subcarriers, and the three
+dataset-level feature scalers.
 """
 
 from __future__ import annotations
@@ -29,23 +30,13 @@ PILOT_SUBCARRIERS = frozenset((-103, -75, -39, -11, 11, 39, 75, 103))
 
 @dataclass(frozen=True)
 class SubcarrierMask:
-    """Partition of the 256 logical subcarrier indices into null/pilot/useful."""
+    """The 256 logical subcarrier indices split into the null and pilot
+    constants above and the 234 useful bins; it takes no arguments."""
 
-    null_indices: frozenset = NULL_SUBCARRIERS
-    pilot_indices: frozenset = PILOT_SUBCARRIERS
-    useful: tuple = field(init=False)
-
-    def __post_init__(self):
-        useful = tuple(
-            k for k in range(-128, 128)
-            if k not in self.null_indices and k not in self.pilot_indices
-        )
-        object.__setattr__(self, "useful", useful)
-        claimed = set(self.null_indices) | set(self.pilot_indices) | set(self.useful)
-        if claimed != set(range(-128, 128)) or len(self.null_indices) + len(
-            self.pilot_indices
-        ) + len(self.useful) != N_SUBCARRIERS:
-            raise ValueError("null, pilot and useful sets must partition -128..127")
+    null_indices: frozenset = field(default=NULL_SUBCARRIERS, init=False)
+    pilot_indices: frozenset = field(default=PILOT_SUBCARRIERS, init=False)
+    useful: tuple = field(default=tuple(
+        sorted(set(range(-128, 128)) - NULL_SUBCARRIERS - PILOT_SUBCARRIERS)), init=False)
 
     @cached_property
     def useful_positions(self) -> np.ndarray:
@@ -65,16 +56,13 @@ class SubcarrierMask:
 
 @dataclass(frozen=True)
 class SanitizerConfig:
-    """Phase sanitization settings: ridge weight and unwrap toggle."""
+    """Phase sanitization setting: the ridge weight."""
 
     lam: float = 0.1
-    unwrap: bool = True
 
     def __post_init__(self):
         if type(self.lam) not in (int, float) or not 0 <= self.lam < math.inf:
             raise ValueError(f"lam {self.lam!r} is not a finite number >= 0")
-        if type(self.unwrap) is not bool:
-            raise ValueError(f"unwrap {self.unwrap!r} is not true or false")
 
 
 def fft_shift(values) -> np.ndarray:
@@ -168,9 +156,7 @@ def sanitize_phase(
     phase = np.angle(cfr)
     # Strided rows round the dot product differently; contiguous rows give
     # the same sums as a per-frame np.dot and .sum().
-    phi = np.ascontiguousarray(phase if pruned else phase[:, mask.useful_positions])
-    if cfg.unwrap:
-        _unwrap(phi)
+    phi = _unwrap(np.ascontiguousarray(phase if pruned else phase[:, mask.useful_positions]))
 
     # Normal equations of the ridge problem, solved in closed form.
     s2 = kk + cfg.lam

@@ -1,9 +1,10 @@
 """Access control on top of the trained pipeline.
 
-Enrollment trains a classifier over per-user feature rows and freezes
-the whole preprocessing configuration (mask, sanitizer, scaler) into a
-store.  Authentication pushes a window of raw frames through that
-frozen pipeline, takes the modal per-frame prediction, and grants only
+Enrollment fits a scaler and a classifier over per-user feature rows and
+keeps them, with the roster and the packet rate, in a store.
+Authentication pushes a window of raw frames through the pipeline's one
+preprocessing (``dataset``'s mask and sanitizer) and the stored scaler
+and model, takes the modal per-frame prediction, and grants only
 when the modal share clears the vote threshold and the user holds the
 required permission.  Every decision can be appended to a JSON-lines
 audit log; a small TCP service exposes the same operation.
@@ -24,8 +25,8 @@ from itertools import chain
 import numpy as np
 
 from .codec import N_SUBCARRIERS
-from .dataset import feature_names, features
-from .dsp import FittedScaler, SanitizerConfig, SubcarrierMask, fit_scaler
+from .dataset import _MASK, _SANITIZER, features
+from .dsp import FittedScaler, fit_scaler
 from .errors import (
     BadPolicy,
     BadRequest,
@@ -36,6 +37,7 @@ from .errors import (
     ZeroSignal,
 )
 from .learners import HyperParams, model_from_doc, model_to_doc, predict, train
+from .learners.rows import _check_count
 
 STORE_FORMAT = "handpass-store"
 STORE_VERSION = 1
@@ -52,35 +54,36 @@ MAX_REQUEST_FRAMES = 10_000
 MAX_REQUEST_BYTES = (
     MAX_REQUEST_FRAMES * (len(json.dumps([[-32768, -32768]] * N_SUBCARRIERS)) + 2) + 65536
 )
+_PRUNED_WIDTH = 2 * len(_MASK.useful)  # 468; 512 with every bin
 
 
 @dataclass
 class EnrollmentStore:
+    """What enrollment learned; the preprocessing is the pipeline's own."""
+
     model: object
     scaler: FittedScaler
-    mask: SubcarrierMask
-    sanitizer: SanitizerConfig
     roster: dict                    # user_id -> set of permission strings
     packets_per_second: int
-    prune: bool = True
     created_at: str = ""
 
     def __post_init__(self):
-        if type(self.packets_per_second) is not int or self.packets_per_second < 1:
-            raise ValueError(f"packets_per_second {self.packets_per_second!r}"
-                             " is not an integer >= 1")
-        if type(self.prune) is not bool:
-            raise ValueError(f"prune {self.prune!r} is not true or false")
+        _check_count("packets_per_second", self.packets_per_second, 1)
+        self.packets_per_second = int(self.packets_per_second)  # numpy integers too
         for perms in self.roster.values():
             if not isinstance(perms, (set, frozenset)) or set(map(type, perms)) - {str}:
                 raise ValueError(f"roster permissions {perms!r} are not a set of strings")
         if not set(self.roster) <= set(int(c) for c in self.model.classes):
             raise ValueError("roster contains users the model was not trained on")
         a, b = len(self.scaler.a), len(self.scaler.b)
-        model, layout = self.model.n_features, len(feature_names(self.mask, self.prune))
-        if not a == b == model == layout:
+        model = self.model.n_features
+        if model not in (_PRUNED_WIDTH, 2 * N_SUBCARRIERS) or not a == b == model:
             raise ValueError(f"store widths disagree: scaler {a}/{b}, model {model},"
-                             f" feature layout {layout}")
+                             f" feature layout {_PRUNED_WIDTH} or {2 * N_SUBCARRIERS}")
+
+    @property
+    def prune(self) -> bool:
+        return self.model.n_features == _PRUNED_WIDTH
 
 
 @dataclass
@@ -104,9 +107,8 @@ def enroll(
     """Fit scaler + classifier on per-user feature rows and build a store.
 
     rows_by_user maps user_id -> (n_u, d) feature block from
-    ``dataset.build_rows``.  The store keeps the default mask and sanitizer
-    those rows were built with, pruned when they are 468 wide (the store
-    refuses widths other than 468 and 512), and lets every user ``enter``.
+    ``dataset.build_rows``: 468 wide pruned or 512 wide (the store refuses
+    other widths).  The store lets every user ``enter``.
     """
     if len(rows_by_user) < MIN_ENROLL_USERS:
         raise DegenerateLabels(
@@ -128,11 +130,8 @@ def enroll(
     return EnrollmentStore(
         model=model,
         scaler=scaler,
-        mask=SubcarrierMask(),
-        sanitizer=SanitizerConfig(),
         roster={u: {DEFAULT_PERMISSION} for u in users},
         packets_per_second=packets_per_second,
-        prune=X.shape[1] == len(feature_names(prune=True)),
         created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
 
@@ -169,7 +168,7 @@ def authenticate(
             f"{len(csi)} frames span less than {window_seconds} s"
             f" at {store.packets_per_second} pkt/s (need {need})"
         )
-    X, _ = features(csi, store.mask, store.sanitizer, store.prune)
+    X, _ = features(csi, _MASK, _SANITIZER, store.prune)
     used = X.shape[0]
     if not used:
         raise ZeroSignal("every frame in the window was degenerate")
@@ -229,11 +228,8 @@ def save_store(store: EnrollmentStore, path) -> None:
         "created_at": store.created_at,
         "model": model_to_doc(store.model),
         "scaler": _scaler_to_doc(store.scaler),
-        "mask": {
-            "null": sorted(store.mask.null_indices),
-            "pilot": sorted(store.mask.pilot_indices),
-        },
-        "sanitizer": {"lam": store.sanitizer.lam, "unwrap": store.sanitizer.unwrap},
+        "mask": {"null": sorted(_MASK.null_indices), "pilot": sorted(_MASK.pilot_indices)},
+        "sanitizer": {"lam": _SANITIZER.lam, "unwrap": True},
         "roster": {str(u): sorted(perms) for u, perms in store.roster.items()},
         "packets_per_second": store.packets_per_second,
         "prune": store.prune,
@@ -243,8 +239,9 @@ def save_store(store: EnrollmentStore, path) -> None:
 
 
 def load_store(path) -> EnrollmentStore:
-    """Read a store document; one that is malformed or inconsistent with
-    itself raises ValueError here rather than at the first request."""
+    """Read a store document; one that is malformed, inconsistent with
+    itself or not made with the pipeline's preprocessing raises
+    ValueError here rather than at the first request."""
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
@@ -252,25 +249,23 @@ def load_store(path) -> EnrollmentStore:
     if doc.get("version") != STORE_VERSION:
         raise ValueError(f"unsupported store version {doc.get('version')!r}")
     try:
-        return EnrollmentStore(
+        store = EnrollmentStore(
             model=model_from_doc(doc["model"]),
             scaler=FittedScaler(
                 kind=doc["scaler"]["kind"], a=doc["scaler"]["a"], b=doc["scaler"]["b"]
-            ),
-            mask=SubcarrierMask(
-                null_indices=frozenset(doc["mask"]["null"]),
-                pilot_indices=frozenset(doc["mask"]["pilot"]),
-            ),
-            sanitizer=SanitizerConfig(
-                lam=doc["sanitizer"]["lam"], unwrap=doc["sanitizer"]["unwrap"]
             ),
             # a list becomes a set; anything else is left for the store to refuse
             roster={int(u): set(perms) if type(perms) is list else perms
                     for u, perms in doc["roster"].items()},
             packets_per_second=doc["packets_per_second"],
-            prune=doc["prune"],
             created_at=doc.get("created_at", ""),
         )
+        mask, sanitizer = doc["mask"], doc["sanitizer"]  # as save_store writes them
+        if (set(mask["null"]) != _MASK.null_indices or set(mask["pilot"]) != _MASK.pilot_indices
+                or sanitizer["lam"] != _SANITIZER.lam or sanitizer["unwrap"] is not True
+                or doc["prune"] is not store.prune):  # `is`: JSON 1 is not true
+            raise ValueError("store mask, sanitizer or prune is not the pipeline's")
+        return store
     except KeyError as exc:
         raise ValueError(f"store document lacks {exc}") from exc
     except (TypeError, AttributeError) as exc:  # a field of the wrong type

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,6 +10,7 @@ from ..errors import DegenerateLabels, NonFiniteFeature
 from .bayes import GaussianNbModel, fit_gnb
 from .forest import RandomForestModel, grow_forest
 from .neighbors import KnnModel, fit_knn
+from .rows import _check_count
 from .svm import LinearSvmModel, fit_svm
 from .tree import DecisionTreeModel, grow_tree
 
@@ -52,11 +52,6 @@ class HyperParams:
             _check_count("max_features", self.max_features, 1)
         if type(self.bootstrap) is not bool:
             raise ValueError(f"bootstrap {self.bootstrap!r} is not true or false")
-
-
-def _check_count(name, value, least):
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} {value!r} is not an integer >= {least}")
 
 
 def canonical_kind(kind: str) -> str:

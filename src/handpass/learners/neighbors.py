@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rows import check_rows
+from .rows import _check_count, check_rows
 
 _BLOCK = 512  # test rows per distance block
 
@@ -30,10 +30,8 @@ class KnnModel:
         C = self.classes.shape[0]
         if not ((self.train_codes >= 0) & (self.train_codes < C)).all():
             raise ValueError(f"KNN train code outside [0, {C})")
-        k = int(self.k)
-        if k != self.k or k < 1:
-            raise ValueError(f"KNN k must be an integer >= 1, got {self.k!r}")
-        self.k = k
+        _check_count("KNN k", self.k, 1)
+        self.k = int(self.k)
 
     @property
     def n_features(self) -> int:

@@ -1,6 +1,9 @@
-"""The row check every classifier runs before it scores."""
+"""The checks the classifiers share: the rows each one scores, and the
+counts among their settings."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -15,3 +18,10 @@ def check_rows(X, n_features: int) -> np.ndarray:
     if X.shape[1] != n_features:
         raise DimensionMismatch(f"{X.shape[1]} features, model trained on {n_features}")
     return X
+
+
+def _check_count(name, value, least):
+    """Refuse, with ValueError, a value that is not an integer >= least;
+    numpy integers are integers, bools are not."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} {value!r} is not an integer >= {least}")

@@ -9,7 +9,8 @@ import numpy as np
 
 from ..dsp import fit_scaler
 from ..errors import TooFewSamples
-from .base import HyperParams, _check_count, predict, train
+from .base import HyperParams, predict, train
+from .rows import _check_count
 
 
 def stratified_folds(labels, k: int, seed: int = 0) -> np.ndarray:

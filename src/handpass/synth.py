@@ -46,14 +46,17 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
-        """Refuse, with ValueError, a count that is not an integer >= 1
-        and an amount that is not a finite number >= 0; bools are
-        neither."""
-        for name in ("users", "captures_per_user", "frames_per_capture",
-                     "packets_per_second", "bump_count"):
+        """Refuse, with ValueError, a count that is not an integer >= 1, a
+        seed that is not an integer >= 0, an amount that is not a finite
+        number >= 0 and a range r whose draw span 2 r is not finite; bools
+        are neither integers nor numbers."""
+        for name, least in (("users", 1), ("captures_per_user", 1),
+                            ("frames_per_capture", 1), ("packets_per_second", 1),
+                            ("bump_count", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} {value!r} is not an integer >= 1")
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < least:
+                raise ValueError(f"{name} {value!r} is not an integer >= {least}")
             object.__setattr__(self, name, int(value))  # numpy numbers are not JSON
         for name in ("noise_sigma", "ramp_range", "offset_range",
                      "gain_jitter", "quant_scale"):
@@ -62,6 +65,10 @@ class SynthConfig:
                     or not 0 <= value < math.inf:
                 raise ValueError(f"{name} {value!r} is not a finite number >= 0")
             object.__setattr__(self, name, float(value))
+        for name in ("ramp_range", "offset_range", "gain_jitter"):  # uniform(-r, r)
+            if not math.isfinite(2 * getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)!r} is too large:"
+                                 f" the span 2 * {name} is not finite")
 
 
 def _user_gender(user_id: int) -> str:

@@ -78,6 +78,21 @@ class TestPlumbing:
         assert exc.value.code == 2
         assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "x"], ["crossval", "--data", "x.csv"],
+        ["select", "--data", "x.csv"], ["enroll", "--data", "x.csv"],
+    ])
+    @pytest.mark.parametrize("source", ["option", "environment"])
+    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch, argv, source):
+        if source == "option":
+            argv = argv + ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("HANDPASS_SEED", "-1")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --seed: -1 is not an integer >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["dataset", "auth", "serve"])
     def test_commands_that_draw_no_random_number_take_no_seed(self, capsys, monkeypatch,
                                                               command):
@@ -482,6 +497,12 @@ class TestRefusedSynth:
         ("--ramp", "inf", "ramp_range inf is not a finite number >= 0"),
         ("--offset-range", "nan", "offset_range nan is not a finite number >= 0"),
         ("--users", "0", "users 0 is not an integer >= 1"),
+        ("--ramp", "1e308", "ramp_range 1e+308 is too large:"
+                            " the span 2 * ramp_range is not finite"),
+        ("--offset-range", "1e308", "offset_range 1e+308 is too large:"
+                                    " the span 2 * offset_range is not finite"),
+        ("--gain-jitter", "1e308", "gain_jitter 1e+308 is too large:"
+                                   " the span 2 * gain_jitter is not finite"),
     ])
     def test_refused(self, capsys, tmp_path, option, value, want):
         out_dir = tmp_path / "corpus"

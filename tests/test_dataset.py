@@ -61,7 +61,7 @@ class TestFeatureNames:
 
     def test_pruned_layout(self):
         mask = SubcarrierMask()
-        names = feature_names(mask, prune=True)
+        names = feature_names(prune=True)
         assert len(names) == 468
         ks = sorted(mask.useful)
         assert names[: len(ks)] == tuple(f"amp_{k}" for k in ks)

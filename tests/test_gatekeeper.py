@@ -242,8 +242,7 @@ class TestStorePersistence:
             )
         assert back.roster == store.roster
         assert back.packets_per_second == store.packets_per_second
-        assert back.mask == store.mask
-        assert back.sanitizer == store.sanitizer
+        assert back.prune is store.prune is True
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "x.json"
@@ -313,6 +312,21 @@ STORE_CORRUPTIONS = {
     "rate-true": lambda d: d.update(packets_per_second=True),
     "prune-yes": lambda d: d.update(prune="yes"),
     "roster-string": lambda d: d["roster"].update({"1": "enter"}),
+    # refused by those checks as well
+    "unwrap-1": lambda d: d["sanitizer"].update(unwrap=1),
+    "prune-1": lambda d: d.update(prune=1),
+    "mask-null-missing": lambda d: d["mask"].pop("null"),
+    "mask-null-number": lambda d: d["mask"].update(null=5),
+    # These loaded until the store kept only what enrollment learned: a
+    # document could change the preprocessing its model was trained on.
+    "lam-0.5": lambda d: d["sanitizer"].update(lam=0.5),
+    "lam-0": lambda d: d["sanitizer"].update(lam=0),
+    "unwrap-false": lambda d: d["sanitizer"].update(unwrap=False),
+    # a null bin swapped for a useful one keeps the width 468
+    "null-swap": lambda d: d["mask"].update(
+        null=sorted(set(d["mask"]["null"]) - {-128} | {-122})),
+    "pilot-moved": lambda d: d["mask"].update(
+        pilot=sorted(set(d["mask"]["pilot"]) - {11} | {12})),
 }
 
 
@@ -332,13 +346,44 @@ class TestStoreFieldChecks:
             load_store(path)
 
     @pytest.mark.parametrize("changes", [
-        {"packets_per_second": 0}, {"packets_per_second": 20.0}, {"prune": 1},
+        {"packets_per_second": 0}, {"packets_per_second": 20.0},
         {"roster": {1: "enter"}}, {"roster": {1: {3}}},
-    ], ids=["rate-0", "rate-float", "prune-int", "roster-string", "roster-int-permission"])
+    ], ids=["rate-0", "rate-float", "roster-string", "roster-int-permission"])
     def test_store_checks_its_fields(self, auth_env, changes):
         store, _, _ = auth_env
         with pytest.raises(ValueError):
             dataclasses.replace(store, **changes)
+
+    def test_store_keeps_what_enrollment_learned(self, auth_env):
+        store, _, _ = auth_env
+        assert [f.name for f in dataclasses.fields(EnrollmentStore)] == [
+            "model", "scaler", "roster", "packets_per_second", "created_at"]
+        with pytest.raises(AttributeError):  # read off the model's width
+            store.prune = False
+        with pytest.raises(TypeError):
+            dataclasses.replace(store, prune=False)
+
+    def test_mask_lists_compared_as_sets(self, auth_env, tmp_path):
+        store, probes, _ = auth_env
+        path = tmp_path / "store.json"
+        save_store(store, path)
+        doc = json.loads(path.read_text())
+        doc["mask"]["null"] = doc["mask"]["null"][::-1] + doc["mask"]["null"][:2]
+        path.write_text(json.dumps(doc))
+        back = load_store(path)
+        assert authenticate(back, probes[2][:20]) == authenticate(store, probes[2][:20])
+
+    @pytest.mark.parametrize("rate", [np.int64(20), np.int32(20), np.uint8(20)])
+    def test_numpy_integer_rate_stored_as_int(self, rate, tmp_path):
+        rng = np.random.default_rng(71)
+        rows = {u: rng.normal(loc=0.1 * u, size=(100, 468)) for u in (1, 2, 3)}
+        store = enroll(rows, HyperParams(n_trees=2, max_depth=3), seed=4,
+                       packets_per_second=rate)
+        assert type(store.packets_per_second) is int and store.packets_per_second == 20
+        store = dataclasses.replace(store, created_at="2026-01-01T00:00:00Z")
+        save_store(store, tmp_path / "store.json")
+        data = (tmp_path / "store.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == STORE_DIGEST
 
 
 # sha256 of the document below; any store byte that moves fails here

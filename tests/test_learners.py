@@ -10,7 +10,7 @@ import pytest
 from handpass import synth
 from handpass.codec import read_capture
 from handpass.dataset import CaptureMeta, build_rows, slice_dataset
-from handpass.dsp import SanitizerConfig, SubcarrierMask, fit_scaler
+from handpass.dsp import fit_scaler
 from handpass.errors import (
     DegenerateLabels,
     DimensionMismatch,
@@ -657,9 +657,8 @@ class TestFusedForestMatchesPerTree:
         X, y = golden_d1
         model = train("rf", X, y, seed=5)
         store = EnrollmentStore(
-            model=model, scaler=fit_scaler("minmax", X), mask=SubcarrierMask(),
-            sanitizer=SanitizerConfig(), roster={int(u): {"enter"} for u in np.unique(y)},
-            packets_per_second=20,
+            model=model, scaler=fit_scaler("minmax", X),
+            roster={int(u): {"enter"} for u in np.unique(y)}, packets_per_second=20,
         )
         save_store(store, tmp_path / "store.json")
         back = load_store(tmp_path / "store.json").model
@@ -1201,6 +1200,8 @@ PARAM_CORRUPTIONS = {
     "knn-flat-train-x": ("knn", lambda p: p.update(train_x=sum(p["train_x"], []))),
     "knn-k-0": ("knn", lambda p: p.update(k=0)),
     "knn-k-null": ("knn", lambda p: p.update(k=None)),
+    "knn-k-true": ("knn", lambda p: p.update(k=True)),
+    "knn-k-float": ("knn", lambda p: p.update(k=5.0)),
     "tree-feature-past-int32": ("rf", lambda p: _set(p["trees"][0], "feature", 0, 2**40)),
     "forest-trees-not-a-list": ("rf", lambda p: p.update(trees=3)),
     "nb-variance-zero": ("nb", lambda p: _set(p["variances"], 1, 2, 0.0)),
@@ -1226,9 +1227,8 @@ class TestModelDocumentChecks:
         models = {kind: train(kind, X, y, HyperParams(n_trees=3, svm_epochs=20), seed=2)
                   for kind in ("rf", "knn", "nb", "svm")}
         store = EnrollmentStore(
-            model=models["svm"], scaler=fit_scaler("minmax", X), mask=SubcarrierMask(),
-            sanitizer=SanitizerConfig(), roster={int(u): {"enter"} for u in np.unique(y)},
-            packets_per_second=20,
+            model=models["svm"], scaler=fit_scaler("minmax", X),
+            roster={int(u): {"enter"} for u in np.unique(y)}, packets_per_second=20,
         )
         return {k: json.dumps(model_to_doc(m)) for k, m in models.items()}, store
 

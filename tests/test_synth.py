@@ -84,9 +84,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} .* is not an integer >= 1$"):
             synth.SynthConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [-1, np.int64(-7), 2.0, True, None])
+    def test_seed_refused(self, value):
+        # numpy's seed sequence takes only integers >= 0
+        with pytest.raises(ValueError, match="^seed .* is not an integer >= 0$"):
+            synth.SynthConfig(seed=value)
+
+    @pytest.mark.parametrize("field", ["ramp_range", "offset_range", "gain_jitter"])
+    @pytest.mark.parametrize("value", [1e308, 9e307])
+    def test_range_whose_span_overflows_refused(self, field, value):
+        # uniform(-r, r) needs a finite span 2 r
+        with pytest.raises(ValueError, match=f"^{field} .* the span 2 \\* {field} is not finite$"):
+            synth.SynthConfig(**{field: value})
+
     def test_numpy_numbers_accepted(self, tmp_path):
         cfg = tiny(users=np.int64(2), frames_per_capture=np.int32(3), noise_sigma=np.float32(0.5))
         assert type(cfg.users) is int and cfg.users == 2
+        assert type(tiny(seed=np.int64(3)).seed) is int
         assert type(cfg.noise_sigma) is float and cfg.noise_sigma == 0.5
         manifest = synth.generate(cfg, tmp_path)  # the manifest's config is JSON
         assert manifest["config"]["users"] == 2 and len(manifest["captures"]) == 4
