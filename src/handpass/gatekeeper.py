@@ -235,7 +235,7 @@ def save_store(store: EnrollmentStore, path) -> None:
         "prune": store.prune,
     }
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # the C encoder; json.dump runs the Python one
 
 
 def load_store(path) -> EnrollmentStore:
@@ -302,6 +302,9 @@ class AuthServer(socketserver.ThreadingTCPServer):
 
 
 class _AuthHandler(socketserver.StreamRequestHandler):
+    # A 50-frame line of about 172 KB takes 3 reads of 64 KiB, not 22 of the default 8 KiB
+    rbufsize = 1 << 16
+
     def handle(self):
         while raw := self.rfile.readline(MAX_REQUEST_BYTES):
             if len(raw) == MAX_REQUEST_BYTES and not raw.endswith(b"\n"):

@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,7 +49,8 @@ class SynthConfig:
     def __post_init__(self):
         """Refuse, with ValueError, a count that is not an integer >= 1, a
         seed that is not an integer >= 0, an amount that is not a finite
-        number >= 0 and a range r whose draw span 2 r is not finite; bools
+        number >= 0, a range r whose draw span 2 r is not finite and a
+        ramp_range and offset_range whose largest phase is not finite; bools
         are neither integers nor numbers."""
         for name, least in (("users", 1), ("captures_per_user", 1),
                             ("frames_per_capture", 1), ("packets_per_second", 1),
@@ -69,6 +71,15 @@ class SynthConfig:
             if not math.isfinite(2 * getattr(self, name)):
                 raise ValueError(f"{name} {getattr(self, name)!r} is too large:"
                                  f" the span 2 * {name} is not finite")
+        # The largest |phase| _samples forms, summed in its order: the user's
+        # (bump_count bumps, each below 1.5), the ramp at |k| = 128, the offset.
+        # An infinite phase makes NaN samples, which no int16 cast can hold.
+        bumps = 1.5 * min(self.bump_count, sys.float_info.max)  # no int overflows it
+        if not math.isfinite(bumps + 128 * self.ramp_range + self.offset_range):
+            raise ValueError(f"ramp_range {self.ramp_range!r} and offset_range"
+                             f" {self.offset_range!r} are too large: the largest phase,"
+                             " 1.5 * bump_count + 128 * ramp_range + offset_range,"
+                             " is not finite")
 
 
 def _user_gender(user_id: int) -> str:

@@ -503,6 +503,9 @@ class TestRefusedSynth:
                                     " the span 2 * offset_range is not finite"),
         ("--gain-jitter", "1e308", "gain_jitter 1e+308 is too large:"
                                    " the span 2 * gain_jitter is not finite"),
+        ("--ramp", "1e307", "ramp_range 1e+307 and offset_range 3.141592653589793 are"
+                            " too large: the largest phase, 1.5 * bump_count"
+                            " + 128 * ramp_range + offset_range, is not finite"),
     ])
     def test_refused(self, capsys, tmp_path, option, value, want):
         out_dir = tmp_path / "corpus"

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import capture_of, random_frame
-from handpass.codec import CsiFrame
+from handpass import synth
+from handpass.codec import CsiFrame, read_capture
 from handpass.dataset import (
     META_COLUMNS,
     SLICE_DEFS,
@@ -314,3 +317,23 @@ class TestCsv:
         write_csv(m, path)
         back = read_csv(path)
         assert back.n_rows == 0 and back.feature_names == names
+
+
+D3_CSV_DIGEST = "f10b62d9ed078124d4c718f9efdba508242bb50f691317c329d5ae844ab48455"
+
+
+def test_d3_slice_csv_bytes_golden(tmp_path):
+    """Characterization: the write_csv bytes of a seeded D3 slice."""
+    cfg = synth.SynthConfig(users=3, captures_per_user=5, frames_per_capture=6,
+                            packets_per_second=4, noise_sigma=0.5, seed=16)
+    manifest = synth.generate(cfg, tmp_path / "corpus")
+    rows = []
+    for e in manifest["captures"]:
+        meta = CaptureMeta(capture_number=e["capture_number"], gender=e["gender"],
+                           hand=e["hand"], user_id=e["user_id"])
+        rows.extend(build_rows(read_capture(tmp_path / "corpus" / e["path"]), meta)[0])
+    sl = slice_dataset(rows, "D3", cfg.packets_per_second)
+    assert sl.rows.n_rows == 3 * 5 * 4
+    write_csv(sl.rows, tmp_path / "d3.csv")
+    digest = hashlib.sha256((tmp_path / "d3.csv").read_bytes()).hexdigest()
+    assert digest == D3_CSV_DIGEST

@@ -972,3 +972,134 @@ class TestRequestLineLimit:
         assert f"exceeds {limit} bytes" in over["error"]["message"]
         assert after == b""  # the server closed the connection
         assert still_served["ok"] is True
+
+
+class TestLineFraming:
+    """However a request line arrives, the server reads it whole and
+    answers it once: in pieces, pipelined with others, or at and just past
+    the size of the handler's read buffer (64 KiB)."""
+
+    def test_line_in_small_pieces_answered_as_sent_whole(self, auth_env):
+        store, probes, _ = auth_env
+        line = request_line(probes[1][:20].tolist())
+        cuts = np.cumsum(np.random.default_rng(16).integers(1, 4000, size=len(line)))
+        cuts = [0, *cuts[cuts < len(line)].tolist(), len(line)]
+        with running(store) as addr:
+            (whole,) = ask(addr, line)
+            with socket.create_connection(addr, timeout=10) as sock:
+                for lo, hi in zip(cuts, cuts[1:]):
+                    sock.sendall(line[lo:hi])
+                pieces = json.loads(sock.makefile("rb").readline())
+        assert len(cuts) > 30
+        assert whole["ok"] is True and whole["decision"]["user_id"] == 1
+        assert pieces == whole
+
+    def test_pipelined_lines_answered_in_order(self, auth_env):
+        store, probes, _ = auth_env
+        lines = [request_line(probes[1][:20].tolist()), b"not json\n",
+                 request_line(probes[2][:20].tolist())]
+        with running(store) as addr:
+            alone = [ask(addr, line)[0] for line in lines]
+            with socket.create_connection(addr, timeout=10) as sock:
+                sock.sendall(b"".join(lines))
+                fh = sock.makefile("rb")
+                pipelined = [json.loads(fh.readline()) for _ in lines]
+        assert [r["ok"] for r in alone] == [True, False, True]
+        assert [alone[0]["decision"]["user_id"], alone[2]["decision"]["user_id"]] == [1, 2]
+        assert pipelined == alone
+
+    @pytest.mark.parametrize("size", [1 << 16, (1 << 16) + 1])
+    def test_lines_of_the_read_buffer_size_answered(self, auth_env, size):
+        store, probes, _ = auth_env
+        request = request_line(probes[1][:10].tolist(), window_seconds=0.5)[:-1]
+        line = request + b" " * (size - len(request) - 1) + b"\n"
+        assert len(line) == size
+        with running(store) as addr:
+            (alone,) = ask(addr, request + b"\n")
+            with socket.create_connection(addr, timeout=10) as sock:
+                sock.sendall(line * 3)  # the next line starts where this one ends
+                fh = sock.makefile("rb")
+                replies = [json.loads(fh.readline()) for _ in range(3)]
+        assert alone["ok"] is True and alone["decision"]["user_id"] == 1
+        assert replies == [alone] * 3
+
+    @pytest.mark.parametrize("limit", [4096, 50_000])
+    def test_line_over_a_limit_inside_the_read_buffer_refused(self, auth_env, monkeypatch,
+                                                                limit):
+        # the whole over-long line may sit in the buffer; still only
+        # MAX_REQUEST_BYTES of it are taken, and the connection ends
+        store, probes, _ = auth_env
+        monkeypatch.setattr(gatekeeper, "MAX_REQUEST_BYTES", limit)
+        line = request_line(probes[1][:20].tolist())
+        assert limit < len(line)
+        with running(store) as addr:
+            with socket.create_connection(addr, timeout=10) as sock:
+                sock.sendall(line)
+                fh = sock.makefile("rb")
+                over = json.loads(fh.readline())
+                try:
+                    after = fh.readline()
+                except ConnectionResetError:  # the unread rest may reset it
+                    after = b""
+            (still_served,) = ask(addr, {"op": "enroll"})
+        assert over["ok"] is False and over["error"]["code"] == "bad-request"
+        assert f"exceeds {limit} bytes" in over["error"]["message"]
+        assert after == b""  # the server closed the connection
+        assert still_served["error"]["message"] == "expected op=authenticate"
+
+
+GATE_DECISIONS_DIGEST = "84533960946bb1984b843cdc9059a1e46f98a342ffb161dcc773b8813fa42604"
+
+
+@pytest.fixture(scope="module")
+def criterion_7_env(tmp_path_factory):
+    """Criterion 7's corpus and store: users 1-3 enroll from capture 1,
+    user 4 never does, and user 3 is stripped from the roster."""
+    root = tmp_path_factory.mktemp("criterion7")
+    cfg = synth.SynthConfig(users=4, captures_per_user=2, frames_per_capture=130,
+                            packets_per_second=20, noise_sigma=0.4, seed=2024)
+    manifest = synth.generate(cfg, root)
+    rows_by_user, probes = {}, {}
+    for entry in manifest["captures"]:
+        cap = read_capture(os.path.join(root, entry["path"]))
+        uid = entry["user_id"]
+        if entry["capture_number"] == 2:
+            probes[uid] = cap.csi
+        elif uid <= 3:
+            meta = CaptureMeta(capture_number=1, gender=entry["gender"], hand="Right",
+                               user_id=uid)
+            rows_by_user[uid] = np.stack([r.features for r in build_rows(cap, meta)[0]])
+    store = enroll(rows_by_user, HyperParams(n_trees=15, max_depth=12), seed=3,
+                   packets_per_second=20)
+    return dataclasses.replace(store, roster={1: {"enter"}, 2: {"enter"}}), probes
+
+
+def test_gate_decisions_golden(criterion_7_env):
+    """Characterization: the decisions on seeded windows, one user's or
+    two users' frames, at varied thresholds and permissions, are the same
+    in-process and over TCP, and pinned."""
+    store, probes = criterion_7_env
+    rng = np.random.default_rng(7)
+    requests = []
+    for _ in range(60):
+        if rng.random() < 0.5:
+            frames = probes[int(rng.integers(1, 5))]
+            start = int(rng.integers(0, len(frames) - 19))
+            window = frames[start:start + 20]
+        else:
+            ua, ub = rng.choice((1, 2, 3, 4), size=2, replace=False)
+            na = int(rng.integers(0, 21))
+            window = np.concatenate([probes[ua][:na], probes[ub][:20 - na]])
+        requests.append((window, float(rng.choice((0.5, 0.6, 0.8))),
+                         str(rng.choice(("enter", "exit")))))
+    direct = [dataclasses.asdict(authenticate(store, w, threshold=t, permission=p))
+              for w, t, p in requests]
+    with running(store) as addr:
+        replies = ask(addr, *({"op": "authenticate", "frames": w.tolist(), "threshold": t,
+                               "permission": p} for w, t, p in requests))
+    served = [r["decision"] for r in replies]
+    assert {d["reason"] for d in direct} == {"ok", "below threshold", "not enrolled",
+                                             "missing permission"}
+    digests = [hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+               for d in (direct, served)]
+    assert digests == [GATE_DECISIONS_DIGEST] * 2

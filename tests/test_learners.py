@@ -37,6 +37,7 @@ from handpass.learners import (
 from handpass.learners.base import MODEL_CLASSES
 from handpass.learners.importance import _tree_importances
 from handpass.learners import tree as tree_module
+from handpass.learners import validate as validate_module
 from handpass.learners.tree import SplitData, best_splits, gini, grow_tree, resolve_max_features
 from handpass.learners.validate import confusion_matrix, metrics_from_confusion
 
@@ -559,6 +560,27 @@ class TestSeededTreesGolden:
     def test_decision_tree(self, golden_d1):
         model = train("dt", *golden_d1, seed=42)
         assert tree_digest([model]) == "b9c6b93a2de799005e4792c0a3e7ea99684956267757116b4e5c0430924a2d9c"
+
+
+CV_PREDICTIONS_DIGEST = "ef40f01966768146f2c6f2e8f4618e3ba49713c68d357b3f4af6638b8702397f"
+
+
+def test_cross_validate_fold_predictions_golden(golden_d1, monkeypatch):
+    """Characterization: every fold's predictions of all five learners,
+    from cross_validate's own folds and per-fold minmax scaling."""
+    folds = []
+
+    def recording(model, X):
+        got = predict(model, X)
+        folds.append(got.tolist())
+        return got
+
+    monkeypatch.setattr(validate_module, "predict", recording)
+    for kind in ("rf", "dt", "knn", "nb", "svm"):
+        cross_validate(kind, *golden_d1, k=10, seed=42, scaler="minmax", per_fold_scaler=True)
+    assert len(folds) == 50
+    digest = hashlib.sha256(json.dumps(folds).encode()).hexdigest()
+    assert digest == CV_PREDICTIONS_DIGEST
 
 
 class TestRandomForest:

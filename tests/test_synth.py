@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +99,27 @@ class TestConfig:
         # uniform(-r, r) needs a finite span 2 r
         with pytest.raises(ValueError, match=f"^{field} .* the span 2 \\* {field} is not finite$"):
             synth.SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("fields", [
+        dict(ramp_range=1e307),  # 128 * ramp_range overflows
+        dict(ramp_range=math.nextafter(sys.float_info.max / 256, math.inf),
+             offset_range=sys.float_info.max / 2),
+        dict(bump_count=10 ** 400),  # no float holds 1.5 * bump_count
+    ])
+    def test_ranges_whose_largest_phase_overflows_refused(self, fields):
+        with pytest.raises(ValueError, match="^ramp_range .* and offset_range .* are too large:"
+                                             " the largest phase, .* is not finite$"):
+            synth.SynthConfig(**fields)
+
+    def test_largest_accepted_phase_ranges_generate_cleanly(self, tmp_path):
+        # 128 * ramp_range + offset_range is the largest finite float; an
+        # overflowing phase would warn and cast NaN samples to int16
+        cfg = tiny(ramp_range=sys.float_info.max / 256, offset_range=sys.float_info.max / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            synth.generate(cfg, tmp_path)
+        for e in synth.load_manifest(tmp_path / synth.MANIFEST_NAME)["captures"]:
+            assert read_capture(tmp_path / e["path"]).csi.shape == (8, 256, 2)
 
     def test_numpy_numbers_accepted(self, tmp_path):
         cfg = tiny(users=np.int64(2), frames_per_capture=np.int32(3), noise_sigma=np.float32(0.5))
