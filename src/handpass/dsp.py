@@ -211,8 +211,9 @@ class FittedScaler:
                 f"matrix has {x.shape[1]} columns, scaler was fitted on {self.n_features}"
             )
         denom = self.b - self.a if self.kind == "minmax" else self.b
-        out = np.zeros_like(x)
-        np.divide(x - self.a, denom, out=out, where=denom != 0)
+        out = x - self.a  # the one full-size block, divided in place
+        np.divide(out, denom, out=out, where=denom != 0)
+        out[:, denom == 0] = 0.0
         return out
 
 

@@ -304,15 +304,20 @@ class AuthServer(socketserver.ThreadingTCPServer):
 class _AuthHandler(socketserver.StreamRequestHandler):
     # A 50-frame line of about 172 KB takes 3 reads of 64 KiB, not 22 of the default 8 KiB
     rbufsize = 1 << 16
+    # A client that sends nothing, or reads no reply, for a minute is dropped
+    timeout = 60
 
     def handle(self):
-        while raw := self.rfile.readline(MAX_REQUEST_BYTES):
-            if len(raw) == MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
-                # the rest of the line is never read, so the connection ends
-                self._send(_error_reply(
-                    BadRequest(f"request line exceeds {MAX_REQUEST_BYTES} bytes")))
-                return
-            self._send(self._answer(raw))
+        try:
+            while raw := self.rfile.readline(MAX_REQUEST_BYTES):
+                if len(raw) == MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
+                    # the rest of the line is never read, so the connection ends
+                    self._send(_error_reply(
+                        BadRequest(f"request line exceeds {MAX_REQUEST_BYTES} bytes")))
+                    return
+                self._send(self._answer(raw))
+        except TimeoutError:  # the connection closes quietly
+            pass
 
     def _send(self, reply: dict) -> None:
         self.wfile.write((json.dumps(reply) + "\n").encode("ascii"))

@@ -10,6 +10,7 @@ from .rows import check_rows
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _VAR_SMOOTHING = 1e-9
+_BLOCK = 256  # test rows per (rows, classes, features) block
 
 
 @dataclass
@@ -42,11 +43,11 @@ class GaussianNbModel:
         X = check_rows(X, self.n_features)
         const = -0.5 * (_LOG_2PI + np.log(self.variances)).sum(axis=1)
         out = np.empty((X.shape[0], self.classes.shape[0]))
-        for lo in range(0, X.shape[0], 256):
-            diff = X[lo : lo + 256, None, :] - self.means[None, :, :]
-            out[lo : lo + 256] = -0.5 * (
-                diff * diff / self.variances[None, :, :]
-            ).sum(axis=2)
+        for lo in range(0, X.shape[0], _BLOCK):
+            diff = X[lo : lo + _BLOCK, None, :] - self.means[None, :, :]
+            diff *= diff  # squared and divided in place: one block
+            diff /= self.variances
+            out[lo : lo + _BLOCK] = -0.5 * diff.sum(axis=2)
         return out + const[None, :] + self.log_priors[None, :]
 
     def scores(self, X: np.ndarray) -> np.ndarray:

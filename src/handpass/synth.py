@@ -30,6 +30,9 @@ MANIFEST_NAME = "manifest.json"
 _CHANSPEC = 0xE22A
 _LOGICAL_K = np.arange(-128, 128, dtype=np.float64)
 _BLOCK = 4096  # frames whose samples are computed at once, bounding the temporaries
+# A bound on |g| for numpy's ziggurat standard normal: its tail draw is
+# r + log(1/u) / r with r = 3.654 and u >= 2**-53, below 13.71; 16 leaves margin.
+_GAUSS_BOUND = 16.0
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,10 @@ class SynthConfig:
     def __post_init__(self):
         """Refuse, with ValueError, a count that is not an integer >= 1, a
         seed that is not an integer >= 0, an amount that is not a finite
-        number >= 0, a range r whose draw span 2 r is not finite and a
-        ramp_range and offset_range whose largest phase is not finite; bools
-        are neither integers nor numbers."""
+        number >= 0, a range r whose draw span 2 r is not finite, a
+        ramp_range and offset_range whose largest phase is not finite and
+        amounts whose largest sample magnitude is not finite; bools are
+        neither integers nor numbers."""
         for name, least in (("users", 1), ("captures_per_user", 1),
                             ("frames_per_capture", 1), ("packets_per_second", 1),
                             ("bump_count", 1), ("seed", 0)):
@@ -80,6 +84,17 @@ class SynthConfig:
                              f" {self.offset_range!r} are too large: the largest phase,"
                              " 1.5 * bump_count + 128 * ramp_range + offset_range,"
                              " is not finite")
+        # The largest |sample| _samples forms, summed in its order: the gain
+        # times the user's amplitude (baseline below 1.25, bumps each below
+        # 1.5), plus the complex noise, all scaled to int16 by quant_scale.
+        top = self.quant_scale * ((1.0 + self.gain_jitter) * (1.25 + bumps)
+                                  + math.sqrt(2.0) * _GAUSS_BOUND * self.noise_sigma)
+        if not math.isfinite(top):
+            raise ValueError(f"gain_jitter {self.gain_jitter!r}, noise_sigma"
+                             f" {self.noise_sigma!r} and quant_scale {self.quant_scale!r}"
+                             " are too large: the largest sample, quant_scale * ((1 +"
+                             " gain_jitter) * (1.25 + 1.5 * bump_count) + sqrt(2) *"
+                             f" {_GAUSS_BOUND:g} * noise_sigma), is not finite")
 
 
 def _user_gender(user_id: int) -> str:

@@ -488,6 +488,10 @@ class TestRefusedHyperParams:
         assert "enrolled" not in out and not os.path.exists(store)
 
 
+LARGEST_SAMPLE = ("are too large: the largest sample, quant_scale * ((1 + gain_jitter)"
+                  " * (1.25 + 1.5 * bump_count) + sqrt(2) * 16 * noise_sigma), is not finite")
+
+
 class TestRefusedSynth:
     """A synth setting that SynthConfig refuses is an error line (exit 1),
     and no capture is written."""
@@ -506,6 +510,12 @@ class TestRefusedSynth:
         ("--ramp", "1e307", "ramp_range 1e+307 and offset_range 3.141592653589793 are"
                             " too large: the largest phase, 1.5 * bump_count"
                             " + 128 * ramp_range + offset_range, is not finite"),
+        ("--gain-jitter", "8.99e307", "gain_jitter 8.99e+307 is too large:"
+                                      " the span 2 * gain_jitter is not finite"),
+        ("--gain-jitter", "1e307", "gain_jitter 1e+307, noise_sigma 0.5 and quant_scale"
+                                   f" 1000.0 {LARGEST_SAMPLE}"),
+        ("--noise", "1e306", f"gain_jitter 0.2, noise_sigma 1e+306 and quant_scale 1000.0"
+                             f" {LARGEST_SAMPLE}"),
     ])
     def test_refused(self, capsys, tmp_path, option, value, want):
         out_dir = tmp_path / "corpus"

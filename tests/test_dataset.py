@@ -318,6 +318,26 @@ class TestCsv:
         back = read_csv(path)
         assert back.n_rows == 0 and back.feature_names == names
 
+    def test_zero_feature_matrix_roundtrip(self, tmp_path):
+        # read_csv reshapes its one buffer by the row count, which a width of 0 needs
+        m = self.make_matrix(n=3, width=0)
+        assert m.features.shape == (3, 0)
+        path = tmp_path / "meta.csv"
+        write_csv(m, path)
+        back = read_csv(path)
+        assert back.features.shape == (3, 0) and back.feature_names == ()
+        assert np.array_equal(back.user_id, m.user_id)
+        assert np.array_equal(back.capture, m.capture)
+        assert list(back.hand) == list(m.hand)
+
+    def test_header_only_roundtrip(self, tmp_path):
+        names = feature_names(prune=True)
+        path = tmp_path / "header.csv"
+        write_csv(FeatureMatrix.from_rows([], names), path)
+        assert path.read_text().count("\n") == 1
+        back = read_csv(path)
+        assert back.features.shape == (0, len(names)) and back.feature_names == names
+
 
 D3_CSV_DIGEST = "f10b62d9ed078124d4c718f9efdba508242bb50f691317c329d5ae844ab48455"
 

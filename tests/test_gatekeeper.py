@@ -5,6 +5,7 @@ import json
 import os
 import socket
 import threading
+import time
 import types
 from unittest import mock
 
@@ -1046,6 +1047,30 @@ class TestLineFraming:
         assert f"exceeds {limit} bytes" in over["error"]["message"]
         assert after == b""  # the server closed the connection
         assert still_served["error"]["message"] == "expected op=authenticate"
+
+
+class TestIdleTimeout:
+    """A connection that sends nothing for the handler's timeout is closed
+    quietly, and the server goes on answering others."""
+
+    def test_timeout_is_a_minute(self):
+        assert gatekeeper._AuthHandler.timeout == 60
+
+    @pytest.mark.parametrize("sent", [b"", b'{"op": "authenticate", "fra'],
+                             ids=["nothing", "half-a-line"])
+    def test_idle_connection_closed(self, auth_env, monkeypatch, capsys, sent):
+        store, probes, _ = auth_env
+        monkeypatch.setattr(gatekeeper._AuthHandler, "timeout", 0.2)
+        with running(store) as addr:
+            with socket.create_connection(addr, timeout=10) as idle:
+                idle.sendall(sent)
+                start = time.monotonic()
+                closed = idle.recv(1)
+                waited = time.monotonic() - start
+            (reply,) = ask(addr, request_line(probes[1][:20].tolist()))
+        assert closed == b"" and waited < 5
+        assert reply["ok"] is True and reply["decision"]["user_id"] == 1
+        assert capsys.readouterr().err == ""  # no traceback
 
 
 GATE_DECISIONS_DIGEST = "84533960946bb1984b843cdc9059a1e46f98a342ffb161dcc773b8813fa42604"

@@ -32,6 +32,20 @@ def quiet(**kw):
     return tiny(noise_sigma=0.0, ramp_range=0.0, offset_range=0.0, gain_jitter=0.0, **kw)
 
 
+def largest_accepted(field, **fields):
+    """The largest float that tiny() accepts for field, by bisection on the
+    bits of the positive floats, whose order is the floats' order."""
+    lo, hi = 0, int(np.float64(sys.float_info.max).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            tiny(**fields, **{field: float(np.int64(mid).view(np.float64))})
+            lo = mid
+        except ValueError:
+            hi = mid - 1
+    return float(np.int64(lo).view(np.float64))
+
+
 def matrix_from(manifest, root, prune=True):
     rows = []
     for entry in manifest["captures"]:
@@ -120,6 +134,32 @@ class TestConfig:
             synth.generate(cfg, tmp_path)
         for e in synth.load_manifest(tmp_path / synth.MANIFEST_NAME)["captures"]:
             assert read_capture(tmp_path / e["path"]).csi.shape == (8, 256, 2)
+
+    @pytest.mark.parametrize("fields, why", [
+        (dict(gain_jitter=8.99e307), "the span 2 \\* gain_jitter"),  # its span overflows first
+        (dict(gain_jitter=8.9e307), "the largest sample"),
+        (dict(gain_jitter=1e307), "the largest sample"),
+        (dict(noise_sigma=1.797e308), "the largest sample"),
+        (dict(noise_sigma=1e305), "the largest sample"),
+        (dict(quant_scale=1e307), "the largest sample"),
+        (dict(gain_jitter=1e300, noise_sigma=1e300, quant_scale=1e8), "the largest sample"),
+    ])
+    def test_amounts_whose_largest_sample_overflows_refused(self, fields, why):
+        # an infinite sample is NaN once scaled, which no int16 cast can hold
+        with pytest.raises(ValueError, match=f"too large: {why}.* is not finite$"):
+            synth.SynthConfig(**fields)
+
+    @pytest.mark.parametrize("field", ["gain_jitter", "noise_sigma", "quant_scale"])
+    def test_largest_accepted_amount_generates_cleanly(self, tmp_path, field):
+        value = largest_accepted(field)
+        with pytest.raises(ValueError, match="the largest sample"):
+            tiny(**{field: math.nextafter(value, math.inf)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            synth.generate(tiny(**{field: value}), tmp_path)
+        for e in synth.load_manifest(tmp_path / synth.MANIFEST_NAME)["captures"]:
+            csi = read_capture(tmp_path / e["path"]).csi
+            assert csi.shape == (8, 256, 2) and np.abs(csi.astype(int)).max() >= 32767
 
     def test_numpy_numbers_accepted(self, tmp_path):
         cfg = tiny(users=np.int64(2), frames_per_capture=np.int32(3), noise_sigma=np.float32(0.5))
