@@ -8,6 +8,4 @@ for end-to-end verification.
 
 __version__ = "0.1.0"
 
-from . import codec, dataset, dsp, errors, gatekeeper, learners, synth
-
 __all__ = ["codec", "dsp", "dataset", "learners", "synth", "gatekeeper", "errors", "__version__"]

@@ -233,13 +233,14 @@ def fit_scaler(kind: str, matrix: np.ndarray) -> FittedScaler:
         x = x.reshape(-1, 1)
     if x.size == 0:
         raise EmptyMatrix("cannot fit a scaler on an empty matrix")
-    if kind == "minmax":
-        a, b = x.min(axis=0), x.max(axis=0)
-    elif kind == "zscore":
-        a, b = x.mean(axis=0), x.std(axis=0)
-    else:
-        q1, q3 = np.percentile(x, [25, 75], axis=0)
-        a, b = np.percentile(x, 50, axis=0), q3 - q1
+    with np.errstate(invalid="ignore", over="ignore"):  # the check below refuses what inf yields
+        if kind == "minmax":
+            a, b = x.min(axis=0), x.max(axis=0)
+        elif kind == "zscore":
+            a, b = x.mean(axis=0), x.std(axis=0)
+        else:
+            q1, q3 = np.percentile(x, [25, 75], axis=0)
+            a, b = np.percentile(x, 50, axis=0), q3 - q1
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         # from NaN or infinity in the rows (or a sum that overflowed); training
         # refuses such rows with the same error

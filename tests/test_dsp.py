@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from handpass.dsp import (
     _unwrap,
     to_cfr,
 )
-from handpass.errors import DimensionMismatch, EmptyMatrix, OddLength, ZeroSignal
+from handpass.errors import DimensionMismatch, EmptyMatrix, NonFiniteFeature, OddLength, ZeroSignal
 
 K = np.arange(-128, 128)
 
@@ -475,6 +476,16 @@ class TestScalers:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fit_scaler("maxabs", np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("kind", ["minmax", "zscore", "robust"])
+    def test_non_finite_rows_raise_without_a_warning(self, kind, bad):
+        X = np.random.default_rng(3).normal(size=(8, 3))
+        X[4:, 1] = bad  # half a column, so that robust's quartiles reach it too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFeature, match="^feature matrix contains NaN or infinity$"):
+                fit_scaler(kind, X)
 
     def test_roundtrip_through_params(self):
         rng = np.random.default_rng(9)
