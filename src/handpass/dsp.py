@@ -233,7 +233,11 @@ def fit_scaler(kind: str, matrix: np.ndarray) -> FittedScaler:
         x = x.reshape(-1, 1)
     if x.size == 0:
         raise EmptyMatrix("cannot fit a scaler on an empty matrix")
-    with np.errstate(invalid="ignore", over="ignore"):  # the check below refuses what inf yields
+    # training refuses such rows with the same error; a robust quartile
+    # need not reach a lone inf, so the cells are checked, not the statistics
+    if not np.isfinite(x).all():
+        raise NonFiniteFeature("feature matrix contains NaN or infinity")
+    with np.errstate(invalid="ignore", over="ignore"):  # the check below refuses an overflow
         if kind == "minmax":
             a, b = x.min(axis=0), x.max(axis=0)
         elif kind == "zscore":
@@ -241,8 +245,6 @@ def fit_scaler(kind: str, matrix: np.ndarray) -> FittedScaler:
         else:
             q1, q3 = np.percentile(x, [25, 75], axis=0)
             a, b = np.percentile(x, 50, axis=0), q3 - q1
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        # from NaN or infinity in the rows (or a sum that overflowed); training
-        # refuses such rows with the same error
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):  # a sum of finite cells overflowed
         raise NonFiniteFeature("feature matrix contains NaN or infinity")
     return FittedScaler(kind=kind, a=a, b=b)

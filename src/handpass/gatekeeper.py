@@ -37,6 +37,7 @@ from .errors import (
     ZeroSignal,
 )
 from .learners import HyperParams, model_from_doc, model_to_doc, predict, train
+from .learners.persist import arrays_hook
 from .learners.rows import _check_count
 
 STORE_FORMAT = "handpass-store"
@@ -156,8 +157,13 @@ def authenticate(
     A threshold that is NaN, infinite or negative, or a window that is
     not a finite positive length, raises BadPolicy: NaN compares false
     against every share and would grant anything.  A finite threshold
-    above 1 is kept; no share reaches it, so it denies every window.
+    above 1 is kept; no share reaches it, so it denies every window.  A
+    value that is not a number, a bool (JSON true or false) included,
+    raises TypeError, which the service answers with bad-request.
     """
+    for name, value in (("threshold", threshold), ("window_seconds", window_seconds)):
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} {value!r} is not a number")
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise BadPolicy(f"threshold {threshold!r} is not a finite number >= 0")
     if not (math.isfinite(window_seconds) and window_seconds > 0.0):
@@ -243,7 +249,7 @@ def load_store(path) -> EnrollmentStore:
     itself or not made with the pipeline's preprocessing raises
     ValueError here rather than at the first request."""
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_hook=arrays_hook)  # a forest's lists one tree at a time
     if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
         raise ValueError(f"not a {STORE_FORMAT} document")
     if doc.get("version") != STORE_VERSION:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rows import check_rows
+from .rows import check_rows, coerce_arrays
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _VAR_SMOOTHING = 1e-9
@@ -21,12 +21,11 @@ class GaussianNbModel:
     log_priors: np.ndarray  # (C,)
 
     kind = "GaussianNB"
+    dtypes = {"means": np.float64, "variances": np.float64, "log_priors": np.float64}
 
     def __post_init__(self):
         self.classes = np.asarray(self.classes)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
-        self.log_priors = np.asarray(self.log_priors, dtype=np.float64)
+        coerce_arrays(self)
         C = self.classes.shape[0]
         if self.means.ndim != 2 or self.means.shape[0] != C:
             raise ValueError(f"GaussianNB means have shape {self.means.shape}, want ({C}, d)")

@@ -44,6 +44,7 @@ class RandomForestModel:
     table: NodeTable = field(init=False, repr=False, compare=False)
 
     kind = "RandomForest"
+    dtypes = {}  # its trees coerce their own arrays
 
     def __post_init__(self):
         self.classes = np.asarray(self.classes)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rows import _check_count, check_rows
+from .rows import _check_count, check_rows, coerce_arrays
 
 _BLOCK = 512  # test rows per distance block
 
@@ -19,11 +19,11 @@ class KnnModel:
     k: int
 
     kind = "KNN"
+    dtypes = {"train_x": np.float64, "train_codes": np.int64}
 
     def __post_init__(self):
         self.classes = np.asarray(self.classes)
-        self.train_x = np.asarray(self.train_x, dtype=np.float64)
-        self.train_codes = np.asarray(self.train_codes, dtype=np.int64)
+        coerce_arrays(self)
         n = self.train_x.shape[0] if self.train_x.ndim == 2 else 0
         if not n or self.train_codes.shape != (n,):
             raise ValueError("KNN needs a 2-D train_x of >= 1 row and one train code per row")

@@ -7,6 +7,11 @@ constructor, which coerces their dtypes and refuses fields that break
 its invariants with ValueError.  Floats pass through Python's
 shortest-round-trip repr, so a loaded model predicts bit-identically to
 the saved one.
+
+`arrays_hook` is a ``json`` object hook that coerces each params object
+as the parser closes it, through the same per-class ``dtypes`` table
+the constructors use.  A forest's node lists then exist one tree at a
+time rather than all at once before the first array is made.
 """
 
 from __future__ import annotations
@@ -26,6 +31,22 @@ VERSION = 1
 
 def _param_names(cls) -> list:
     return [f.name for f in fields(cls) if f.init and f.name != "classes"]
+
+
+# a params object's exact key set -> the dtypes of its array fields
+_DTYPES_BY_KEYS = {frozenset(_param_names(cls)): cls.dtypes for cls in MODEL_CLASSES.values()}
+
+
+def arrays_hook(obj: dict) -> dict:
+    """``json`` object hook: a model-params object gets its array fields
+    as numpy arrays, any other object comes back as it is.  A value the
+    coercion refuses stays as parsed, for the constructor to refuse."""
+    for name, dtype in _DTYPES_BY_KEYS.get(frozenset(obj), {}).items():
+        try:
+            obj[name] = np.asarray(obj[name], dtype=dtype)
+        except (ValueError, TypeError, OverflowError):
+            pass
+    return obj
 
 
 def _plain(value):

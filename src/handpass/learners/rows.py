@@ -1,5 +1,5 @@
-"""The checks the classifiers share: the rows each one scores, and the
-counts among their settings."""
+"""The checks the classifiers share: the rows each one scores, the
+dtypes of their array fields, and the counts among their settings."""
 
 from __future__ import annotations
 
@@ -18,6 +18,13 @@ def check_rows(X, n_features: int) -> np.ndarray:
     if X.shape[1] != n_features:
         raise DimensionMismatch(f"{X.shape[1]} features, model trained on {n_features}")
     return X
+
+
+def coerce_arrays(model) -> None:
+    """Set each field named in the model's ``dtypes`` table to an array
+    of its dtype; ``persist`` coerces parsed params through the same table."""
+    for name, dtype in model.dtypes.items():
+        setattr(model, name, np.asarray(getattr(model, name), dtype=dtype))
 
 
 def _check_count(name, value, least):

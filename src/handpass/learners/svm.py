@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rows import check_rows
+from .rows import check_rows, coerce_arrays
 
 _LAMBDA = 1e-4  # the L2 regularization weight
 
@@ -26,10 +26,11 @@ class LinearSvmModel:
     weights: np.ndarray  # (C, d+1), bias last
 
     kind = "LinearSVM"
+    dtypes = {"weights": np.float64}
 
     def __post_init__(self):
         self.classes = np.asarray(self.classes)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        coerce_arrays(self)
         C = self.classes.shape[0]
         if self.weights.ndim != 2 or self.weights.shape[0] != C or self.weights.shape[1] < 1:
             raise ValueError(f"LinearSVM weights have shape {self.weights.shape}, want ({C}, d+1)")

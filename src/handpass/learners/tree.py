@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rows import check_rows
+from .rows import check_rows, coerce_arrays
 
 # Split search works on (row, feature) cells.  Features go in chunks of
 # 64, which bounds one node's working arrays and fixes which of several
@@ -339,26 +339,23 @@ class DecisionTreeModel:
 
     classes: np.ndarray
     n_features: int
-    feature: np.ndarray       # int32, -1 at leaves
-    threshold: np.ndarray     # float64
-    left: np.ndarray          # int32, -1 at leaves
+    feature: np.ndarray       # -1 at leaves
+    threshold: np.ndarray
+    left: np.ndarray          # -1 at leaves
     right: np.ndarray
-    value: np.ndarray         # (n_nodes, n_classes) float64
+    value: np.ndarray         # (n_nodes, n_classes)
     n_node_samples: np.ndarray
     impurity: np.ndarray
 
     kind = "DecisionTree"
+    dtypes = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+              "right": np.int32, "value": np.float64, "n_node_samples": np.int64,
+              "impurity": np.float64}
 
     def __post_init__(self):
         self.classes = np.asarray(self.classes)
         self.n_features = int(self.n_features)
-        self.feature = np.asarray(self.feature, dtype=np.int32)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int32)
-        self.right = np.asarray(self.right, dtype=np.int32)
-        self.value = np.asarray(self.value, dtype=np.float64)
-        self.n_node_samples = np.asarray(self.n_node_samples, dtype=np.int64)
-        self.impurity = np.asarray(self.impurity, dtype=np.float64)
+        coerce_arrays(self)
         n = self.feature.shape[0] if self.feature.ndim == 1 else 0
         per_node = (self.feature, self.threshold, self.left, self.right,
                     self.n_node_samples, self.impurity)

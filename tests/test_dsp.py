@@ -487,6 +487,18 @@ class TestScalers:
             with pytest.raises(NonFiniteFeature, match="^feature matrix contains NaN or infinity$"):
                 fit_scaler(kind, X)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("kind", ["minmax", "zscore", "robust"])
+    def test_a_single_non_finite_cell_is_refused(self, kind, bad):
+        # no robust quartile of column 0 reaches row 3, so its statistics
+        # come out finite; the cell itself is what is refused
+        X = np.arange(16.0).reshape(8, 2)
+        X[3, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFeature, match="^feature matrix contains NaN or infinity$"):
+                fit_scaler(kind, X)
+
     def test_roundtrip_through_params(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(20, 6))

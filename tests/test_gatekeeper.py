@@ -458,6 +458,16 @@ class TestPolicy:
         with pytest.raises(BadPolicy):
             authenticate(store, probes[2][:20], window_seconds=window_seconds)
 
+    @pytest.mark.parametrize("field", ["threshold", "window_seconds"])
+    @pytest.mark.parametrize("value", [False, True, np.False_, np.True_],
+                             ids=["false", "true", "np-false", "np-true"])
+    def test_bool_is_not_a_number(self, auth_env, field, value):
+        # false read as 0 granted a window denied at the default threshold
+        store, probes, _ = auth_env
+        window = np.concatenate([probes[1][:10], probes[2][:10]])
+        with pytest.raises(TypeError, match=f"^{field} {value!r} is not a number$"):
+            authenticate(store, window, **{field: value})
+
     def test_rejected_before_logging(self, auth_env, tmp_path):
         store, probes, _ = auth_env
         log = AuditLog(tmp_path / "audit.jsonl")
@@ -621,6 +631,23 @@ class TestServer:
             assert reply["ok"] is False
             assert reply["error"]["code"] == "bad-policy"
         assert text["error"]["code"] == "bad-request"
+        assert default["decision"]["decision"] == "Deny"  # connection survived
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "general"])
+    def test_bool_policy_values_are_bad_requests(self, auth_env, fast):
+        store, probes, _ = auth_env
+        mixed = np.concatenate([probes[1][:10], probes[2][:10]]).tolist()
+        lines = [request_line(mixed, **{field: value})
+                 for field, value in [("threshold", False), ("threshold", True),
+                                      ("window_seconds", True), ("window_seconds", False)]]
+        if not fast:  # an escaped key: only json.loads reads it as "frames"
+            lines = [line.replace(b'"frames"', b'"fr\\u0061mes"') for line in lines]
+        assert all((gatekeeper._canonical_frames(line) is not None) is fast for line in lines)
+        with running(store) as addr:
+            *refused, default = ask(addr, *lines, {"op": "authenticate", "frames": mixed})
+        for reply in refused:
+            assert reply["ok"] is False and reply["error"]["code"] == "bad-request"
+            assert reply["error"]["message"].endswith(" is not a number")
         assert default["decision"]["decision"] == "Deny"  # connection survived
 
 

@@ -36,6 +36,7 @@ from handpass.learners import (
 )
 from handpass.learners.base import MODEL_CLASSES
 from handpass.learners.importance import _tree_importances
+from handpass.learners.persist import arrays_hook
 from handpass.learners import tree as tree_module
 from handpass.learners import validate as validate_module
 from handpass.learners.tree import SplitData, best_splits, gini, grow_tree, resolve_max_features
@@ -1117,6 +1118,44 @@ class TestPersistence:
         doc["version"] = 99
         with pytest.raises(ValueError):
             model_from_doc(doc)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_store_parse_builds_the_document_model(self, kind, tmp_path):
+        rng = np.random.default_rng(51)
+        X, y = blobs(rng, n_per=10, n_classes=3, d=468, spread=1.5)
+        model = train(kind, X, y, HyperParams(n_trees=3, svm_epochs=20), seed=3)
+        store = EnrollmentStore(model=model, scaler=fit_scaler("minmax", X),
+                                roster={int(u): {"enter"} for u in np.unique(y)},
+                                packets_per_second=20)
+        path = tmp_path / "store.json"
+        save_store(store, path)
+        want = model_from_doc(json.loads(path.read_text())["model"])
+        assert_same_fields(load_store(path).model, want)
+        assert_same_fields(want, model)
+
+    def test_arrays_hook_leaves_what_it_cannot_coerce(self):
+        params = arrays_hook({"train_x": [[0.5, 1.0]], "train_codes": [0, "x"], "k": True})
+        assert params["train_x"].dtype == np.float64
+        assert params["train_codes"] == [0, "x"] and params["k"] is True
+        scaler = {"kind": "minmax", "a": [1.0], "b": [2.0]}  # not a model's params
+        assert arrays_hook(dict(scaler)) == scaler
+
+
+def assert_same_fields(a, b):
+    """a and b are of one type and hold equal values field by field,
+    every array of one dtype."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_fields(x, y)
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_fields(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert a == b
 
 
 def _last_inner(t):

@@ -1,4 +1,5 @@
-"""Peak memory of the steps that build a table or a scoring block.
+"""Peak memory of the steps that build a table or a scoring block, and
+of loading a store.
 
 Each step allocates its result once.  tracemalloc counts numpy's data
 buffers, so a traced peak is what a call holds at once beyond what it
@@ -13,6 +14,8 @@ import pytest
 
 from handpass.dataset import CaptureMeta, FeatureMatrix, FeatureRow, read_csv, write_csv
 from handpass.dsp import fit_scaler
+from handpass.gatekeeper import enroll, load_store, save_store
+from handpass.learners import HyperParams, predict
 from handpass.learners.bayes import _LOG_2PI, fit_gnb
 
 C, D = 20, 468  # the paper's 20 users and pruned feature width
@@ -111,3 +114,19 @@ def test_read_csv_fills_one_buffer(tmp_path):
     assert np.array_equal(m.features, want) and np.array_equal(m.features, X)
     assert m.features.flags.writeable
     assert peak <= 1.25 * X.nbytes
+
+
+def test_store_loads_one_tree_at_a_time(tmp_path):
+    """A forest's node lists are turned into arrays as the parser closes
+    each tree, so the load peaks near twice the file, not near six times
+    as when every tree's lists were built before the first array."""
+    rng = np.random.default_rng(72)
+    rows = {u: rng.normal(loc=0.05 * u, size=(150, D)) for u in range(1, 7)}
+    store = enroll(rows, HyperParams(n_trees=20), seed=5, packets_per_second=20)
+    path = tmp_path / "store.json"
+    save_store(store, path)
+    back, peak = traced_peak(load_store, path)
+    assert sum(t.n_nodes for t in back.model.trees) > 5000  # deep trees: the lists dominate
+    X = rng.normal(size=(50, D))
+    assert np.array_equal(predict(back.model, X), predict(store.model, X))
+    assert peak <= 3.0 * path.stat().st_size
