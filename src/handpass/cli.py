@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -27,7 +28,8 @@ from . import dataset as ds
 from . import gatekeeper as gk
 from . import synth
 from .codec import read_capture
-from .errors import HandpassError
+from .dsp import SCALER_KINDS
+from .errors import HandpassError, _check_count
 from .learners import (
     KINDS,
     HyperParams,
@@ -38,7 +40,6 @@ from .learners import (
     train,
 )
 from .learners.importance import subcarrier_importance
-from .learners.rows import _check_count
 
 log = logging.getLogger("handpass")
 
@@ -59,9 +60,19 @@ def _print_table(headers, rows) -> None:
             print("  ".join("-" * w for w in widths))
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 # command-line option (argparse dest) -> the HyperParams field it sets
 _HYPER_OPTIONS = {"trees": "n_trees", "max_depth": "max_depth",
                   "knn_k": "k_neighbors", "svm_epochs": "svm_epochs"}
+# command-line option (argparse dest) -> the SynthConfig field it sets
+_SYNTH_OPTIONS = {"users": "users", "captures": "captures_per_user",
+                  "frames": "frames_per_capture", "rate": "packets_per_second",
+                  "noise": "noise_sigma", "bumps": "bump_count", "ramp": "ramp_range",
+                  "offset_range": "offset_range", "gain_jitter": "gain_jitter",
+                  "quant_scale": "quant_scale"}
 
 
 def _hyper_from(args: argparse.Namespace, kind: str) -> HyperParams:
@@ -72,25 +83,22 @@ def _hyper_from(args: argparse.Namespace, kind: str) -> HyperParams:
             try:
                 hp = replace(hp, **{name: value})
             except ValueError as exc:  # HyperParams refuses the value
-                raise HandpassError(f"--{option.replace('_', '-')}: {exc}") from exc
+                raise HandpassError(f"{_flag(option)}: {exc}") from exc
     return hp
+
+
+def _count_option(option: str, name: str, value, least: int) -> int:
+    """A count given on the command line, refused before any fit."""
+    try:
+        return _check_count(name, value, least)
+    except ValueError as exc:
+        raise HandpassError(f"{_flag(option)}: {exc}") from exc
 
 
 def cmd_synth(args) -> int:
     try:
-        cfg = synth.SynthConfig(
-            users=args.users,
-            captures_per_user=args.captures,
-            frames_per_capture=args.frames,
-            packets_per_second=args.rate,
-            noise_sigma=args.noise,
-            bump_count=args.bumps,
-            ramp_range=args.ramp,
-            offset_range=args.offset_range,
-            gain_jitter=args.gain_jitter,
-            quant_scale=args.quant_scale,
-            seed=args.seed,
-        )
+        cfg = synth.SynthConfig(seed=args.seed, **{name: getattr(args, option)
+                                                   for option, name in _SYNTH_OPTIONS.items()})
     except ValueError as exc:  # SynthConfig refuses the value
         raise HandpassError(str(exc)) from exc
     manifest = synth.generate(cfg, args.out)
@@ -135,7 +143,11 @@ def _rows_from_manifest(args, manifest):
 
 
 def cmd_dataset(args) -> int:
-    manifest = synth.load_manifest(os.path.join(args.indir, synth.MANIFEST_NAME))
+    path = os.path.join(args.indir, synth.MANIFEST_NAME)
+    try:
+        manifest = synth.load_manifest(path)
+    except ValueError as exc:  # a document that is not a manifest load_manifest takes
+        raise HandpassError(f"{path}: {exc}") from exc
     rate = args.rate or manifest["config"]["packets_per_second"]
     rows, dropped, skipped, bad_csi = _rows_from_manifest(args, manifest)
     sliced = ds.slice_dataset(rows, args.slice, rate,
@@ -156,10 +168,7 @@ def _load_xy(path):
 def cmd_crossval(args) -> int:
     kinds = list(KINDS) if args.model == "all" else [args.model]
     hypers = {kind: _hyper_from(args, kind) for kind in kinds}   # refused before any fit
-    try:
-        _check_count("k", args.k, 2)   # as cross_validate checks it
-    except ValueError as exc:
-        raise HandpassError(f"--k: {exc}") from exc
+    _count_option("k", "k", args.k, 2)   # as cross_validate checks it
     report_rows = []
     for data_path in args.data:
         slice_name = os.path.splitext(os.path.basename(data_path))[0]
@@ -198,8 +207,10 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_select(args) -> int:
+    hyper = _hyper_from(args, args.model)
+    _count_option("top", "top_m", args.top, 1)   # as select_subcarriers checks it
     m, X, y = _load_xy(args.data)
-    model = train(args.model, X, y, _hyper_from(args, args.model), args.seed)
+    model = train(args.model, X, y, hyper, args.seed)
     imp = feature_importance(model)
     picked = select_subcarriers(imp, args.top, names=m.feature_names)
     print(f"top {args.top} subcarriers by {KINDS[args.model]} importance:")
@@ -314,6 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
+    def add_hyper(sp, options=_HYPER_OPTIONS):
+        for option in options:
+            sp.add_argument(_flag(option), type=int, default=None)
+
     def add_common(sp, seed=True):
         if seed:  # a string default is parsed, and refused, as --seed would be
             sp.add_argument("--seed", type=_seed, default=os.environ.get("HANDPASS_SEED") or 42,
@@ -324,16 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate synthetic captures")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--users", type=int, default=20)
-    sp.add_argument("--captures", type=int, default=5)
-    sp.add_argument("--frames", type=int, default=5500)
-    sp.add_argument("--rate", type=int, default=1000)
-    sp.add_argument("--noise", type=float, default=0.5)
-    sp.add_argument("--bumps", type=int, default=4)
-    sp.add_argument("--ramp", type=float, default=0.05)
-    sp.add_argument("--offset-range", type=float, default=float(np.pi))
-    sp.add_argument("--gain-jitter", type=float, default=0.2)
-    sp.add_argument("--quant-scale", type=float, default=1000.0)
+    synth_defaults = synth.SynthConfig()
+    for option, name in _SYNTH_OPTIONS.items():
+        default = getattr(synth_defaults, name)
+        sp.add_argument(_flag(option), type=type(default), default=default)
     add_common(sp)
     sp.set_defaults(func=cmd_synth)
 
@@ -353,14 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", nargs="+", required=True, help="slice CSV(s)")
     sp.add_argument("--model", choices=MODEL_CHOICES, default="rf")
     sp.add_argument("--k", type=int, default=10)
-    sp.add_argument("--scaler", choices=["minmax", "zscore", "robust", "none"],
-                    default="none")
+    sp.add_argument("--scaler", choices=[*SCALER_KINDS, "none"], default="none")
     sp.add_argument("--per-fold-scaler", action="store_true",
                     help="refit the scaler inside each training fold")
-    sp.add_argument("--trees", type=int, default=None)
-    sp.add_argument("--max-depth", type=int, default=None)
-    sp.add_argument("--knn-k", type=int, default=None)
-    sp.add_argument("--svm-epochs", type=int, default=None)
+    add_hyper(sp)
     sp.add_argument("--report", default=None, help="per-fold CSV output")
     add_common(sp)
     sp.set_defaults(func=cmd_crossval)
@@ -369,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--top", type=int, default=20)
     sp.add_argument("--model", choices=["dt", "rf"], default="dt")
-    sp.add_argument("--trees", type=int, default=None)
-    sp.add_argument("--max-depth", type=int, default=None)
+    add_hyper(sp, ("trees", "max_depth"))
     sp.add_argument("--report", default=None)
     add_common(sp)
     sp.set_defaults(func=cmd_select)
@@ -379,13 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, help="slice CSV of enrollment rows")
     sp.add_argument("--store", default=None, help="output path (env HANDPASS_STORE)")
     sp.add_argument("--model", choices=sorted(KINDS), default="rf")
-    sp.add_argument("--scaler", choices=["minmax", "zscore", "robust"],
-                    default="minmax")
-    sp.add_argument("--rate", type=int, default=1000)
-    sp.add_argument("--trees", type=int, default=None)
-    sp.add_argument("--max-depth", type=int, default=None)
-    sp.add_argument("--knn-k", type=int, default=None)
-    sp.add_argument("--svm-epochs", type=int, default=None)
+    enroll_defaults = inspect.signature(gk.enroll).parameters  # the store's own defaults
+    sp.add_argument("--scaler", choices=SCALER_KINDS,
+                    default=enroll_defaults["scaler_kind"].default)
+    sp.add_argument("--rate", type=int, default=enroll_defaults["packets_per_second"].default)
+    add_hyper(sp)
     add_common(sp)
     sp.set_defaults(func=cmd_enroll)
 
@@ -417,6 +419,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "per_fold_scaler", False) and args.scaler == "none":
         parser.error("--per-fold-scaler needs a --scaler to refit in each fold")
+    if not 0 <= getattr(args, "port", 0) <= 65535:  # before the store loads
+        parser.error(f"argument --port: {args.port} is not a port in 0..65535")
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(message)s",
@@ -424,10 +428,7 @@ def main(argv=None) -> int:
     _print_config(args)
     try:
         return args.func(args)
-    except HandpassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HandpassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

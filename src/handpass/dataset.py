@@ -28,6 +28,10 @@ from .errors import InsufficientRows, RaggedRows, ZeroSignal
 GENDERS = ("M", "F")
 HANDS = ("Right", "Left")
 META_COLUMNS = ("capture", "gender", "hand", "user_id")
+# The corpus layout: user ids 1.._MAX_USER_ID, capture numbers 1.._MAX_CAPTURE
+# (the paper's 20 participants and five sessions each).
+_MAX_USER_ID = 20
+_MAX_CAPTURE = 5
 
 # name -> (seconds per capture, capture numbers used)
 SLICE_DEFS = {
@@ -56,13 +60,13 @@ class CaptureMeta:
     user_id: int
 
     def __post_init__(self):
-        if not 1 <= self.capture_number <= 5:
+        if not 1 <= self.capture_number <= _MAX_CAPTURE:
             raise ValueError(f"capture_number out of range: {self.capture_number}")
         if self.gender not in GENDERS:
             raise ValueError(f"gender must be one of {GENDERS}: {self.gender!r}")
         if self.hand not in HANDS:
             raise ValueError(f"hand must be one of {HANDS}: {self.hand!r}")
-        if not 1 <= self.user_id <= 20:
+        if not 1 <= self.user_id <= _MAX_USER_ID:
             raise ValueError(f"user_id out of range: {self.user_id}")
 
 

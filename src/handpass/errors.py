@@ -1,8 +1,19 @@
-"""Exception types shared across the handpass package."""
+"""Exception types shared across the handpass package, and the one rule
+every layer applies to a count among its settings."""
+
+import numbers
 
 
 class HandpassError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+def _check_count(name, value, least) -> int:
+    """value as an int; refuse, with ValueError, a value that is not an
+    integer >= least.  numpy integers are integers, bools are not."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} {value!r} is not an integer >= {least}")
+    return int(value)
 
 
 # capture codec

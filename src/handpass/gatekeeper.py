@@ -35,10 +35,10 @@ from .errors import (
     TooFewFrames,
     WindowTooShort,
     ZeroSignal,
+    _check_count,
 )
 from .learners import HyperParams, model_from_doc, model_to_doc, predict, train
 from .learners.persist import arrays_hook
-from .learners.rows import _check_count
 
 STORE_FORMAT = "handpass-store"
 STORE_VERSION = 1
@@ -69,8 +69,7 @@ class EnrollmentStore:
     created_at: str = ""
 
     def __post_init__(self):
-        _check_count("packets_per_second", self.packets_per_second, 1)
-        self.packets_per_second = int(self.packets_per_second)  # numpy integers too
+        self.packets_per_second = _check_count("packets_per_second", self.packets_per_second, 1)
         for perms in self.roster.values():
             if not isinstance(perms, (set, frozenset)) or set(map(type, perms)) - {str}:
                 raise ValueError(f"roster permissions {perms!r} are not a set of strings")

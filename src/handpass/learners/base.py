@@ -6,11 +6,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import DegenerateLabels, NonFiniteFeature
+from ..errors import DegenerateLabels, NonFiniteFeature, _check_count
 from .bayes import GaussianNbModel, fit_gnb
 from .forest import RandomForestModel, grow_forest
 from .neighbors import KnnModel, fit_knn
-from .rows import _check_count
 from .svm import LinearSvmModel, fit_svm
 from .tree import DecisionTreeModel, grow_tree
 

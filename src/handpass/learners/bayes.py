@@ -24,7 +24,6 @@ class GaussianNbModel:
     dtypes = {"means": np.float64, "variances": np.float64, "log_priors": np.float64}
 
     def __post_init__(self):
-        self.classes = np.asarray(self.classes)
         coerce_arrays(self)
         C = self.classes.shape[0]
         if self.means.ndim != 2 or self.means.shape[0] != C:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rows import check_rows
+from .rows import check_rows, coerce_arrays
 from .tree import NodeTable, SplitData, grow_trees
 
 
@@ -47,7 +47,7 @@ class RandomForestModel:
     dtypes = {}  # its trees coerce their own arrays
 
     def __post_init__(self):
-        self.classes = np.asarray(self.classes)
+        coerce_arrays(self)
         if not self.trees:
             raise ValueError("a forest needs at least one tree")
         shapes = {(t.n_features, t.value.shape[1]) for t in self.trees}

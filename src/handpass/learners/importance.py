@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 
-from ..errors import UnsupportedModel
+from ..errors import UnsupportedModel, _check_count
 from .forest import RandomForestModel
 from .tree import DecisionTreeModel
 
@@ -72,8 +72,10 @@ def select_subcarriers(importances, top_m: int, names=None) -> list:
     """Top subcarriers by summed (amplitude + phase) importance.
 
     names defaults to the pruned feature layout.  Ties break toward the
-    lower subcarrier index.
+    lower subcarrier index.  A top_m that is not an integer >= 1 raises
+    ValueError.
     """
+    top_m = _check_count("top_m", top_m, 1)
     ranked = sorted(subcarrier_importance(importances, names).items(),
                     key=lambda kv: (-kv[1], kv[0]))
     return [k for k, _ in ranked[:top_m]]

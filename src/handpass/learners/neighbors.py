@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rows import _check_count, check_rows, coerce_arrays
+from ..errors import _check_count
+from .rows import check_rows, coerce_arrays
 
 _BLOCK = 512  # test rows per distance block
 
@@ -22,7 +23,6 @@ class KnnModel:
     dtypes = {"train_x": np.float64, "train_codes": np.int64}
 
     def __post_init__(self):
-        self.classes = np.asarray(self.classes)
         coerce_arrays(self)
         n = self.train_x.shape[0] if self.train_x.ndim == 2 else 0
         if not n or self.train_codes.shape != (n,):
@@ -30,8 +30,7 @@ class KnnModel:
         C = self.classes.shape[0]
         if not ((self.train_codes >= 0) & (self.train_codes < C)).all():
             raise ValueError(f"KNN train code outside [0, {C})")
-        _check_count("KNN k", self.k, 1)
-        self.k = int(self.k)
+        self.k = _check_count("KNN k", self.k, 1)
 
     @property
     def n_features(self) -> int:

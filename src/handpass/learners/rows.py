@@ -1,9 +1,7 @@
-"""The checks the classifiers share: the rows each one scores, the
-dtypes of their array fields, and the counts among their settings."""
+"""The checks the classifiers share: the rows each one scores and the
+dtypes of their array fields."""
 
 from __future__ import annotations
-
-import numbers
 
 import numpy as np
 
@@ -21,14 +19,10 @@ def check_rows(X, n_features: int) -> np.ndarray:
 
 
 def coerce_arrays(model) -> None:
-    """Set each field named in the model's ``dtypes`` table to an array
-    of its dtype; ``persist`` coerces parsed params through the same table."""
+    """Set ``classes`` to an array, and each field named in the model's
+    ``dtypes`` table to an array of its dtype; ``persist`` coerces parsed
+    params through the same table."""
+    model.classes = np.asarray(model.classes)
     for name, dtype in model.dtypes.items():
         setattr(model, name, np.asarray(getattr(model, name), dtype=dtype))
 
-
-def _check_count(name, value, least):
-    """Refuse, with ValueError, a value that is not an integer >= least;
-    numpy integers are integers, bools are not."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} {value!r} is not an integer >= {least}")

@@ -29,7 +29,6 @@ class LinearSvmModel:
     dtypes = {"weights": np.float64}
 
     def __post_init__(self):
-        self.classes = np.asarray(self.classes)
         coerce_arrays(self)
         C = self.classes.shape[0]
         if self.weights.ndim != 2 or self.weights.shape[0] != C or self.weights.shape[1] < 1:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import _check_count
 from .rows import check_rows, coerce_arrays
 
 # Split search works on (row, feature) cells.  Features go in chunks of
@@ -353,8 +354,7 @@ class DecisionTreeModel:
               "impurity": np.float64}
 
     def __post_init__(self):
-        self.classes = np.asarray(self.classes)
-        self.n_features = int(self.n_features)
+        self.n_features = _check_count("n_features", self.n_features, 1)
         coerce_arrays(self)
         n = self.feature.shape[0] if self.feature.ndim == 1 else 0
         per_node = (self.feature, self.threshold, self.left, self.right,

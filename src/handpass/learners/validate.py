@@ -8,9 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dsp import fit_scaler
-from ..errors import TooFewSamples
+from ..errors import TooFewSamples, _check_count
 from .base import HyperParams, predict, train
-from .rows import _check_count
 
 
 def stratified_folds(labels, k: int, seed: int = 0) -> np.ndarray:

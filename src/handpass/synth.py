@@ -16,12 +16,14 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .codec import CSI_MAGIC, HEADER_DTYPE, CaptureFile, write_capture
+from .dataset import _MAX_CAPTURE, _MAX_USER_ID, CaptureMeta
 from .dsp import fft_shift
+from .errors import _check_count
 
 MANIFEST_FORMAT = "handpass-synth-manifest"
 MANIFEST_VERSION = 1
@@ -50,7 +52,8 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
-        """Refuse, with ValueError, a count that is not an integer >= 1, a
+        """Refuse, with ValueError, a count that is not an integer >= 1, more
+        users or captures per user than the dataset layout numbers, a
         seed that is not an integer >= 0, an amount that is not a finite
         number >= 0, a range r whose draw span 2 r is not finite, a
         ramp_range and offset_range whose largest phase is not finite and
@@ -59,11 +62,13 @@ class SynthConfig:
         for name, least in (("users", 1), ("captures_per_user", 1),
                             ("frames_per_capture", 1), ("packets_per_second", 1),
                             ("bump_count", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-                    or value < least:
-                raise ValueError(f"{name} {value!r} is not an integer >= {least}")
-            object.__setattr__(self, name, int(value))  # numpy numbers are not JSON
+            # stored as an int: the manifest echoes it, and numpy numbers are not JSON
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
+        for name, most, what in (("users", _MAX_USER_ID, "user ids"),
+                                 ("captures_per_user", _MAX_CAPTURE, "capture numbers")):
+            if getattr(self, name) > most:
+                raise ValueError(f"{name} {getattr(self, name)} is more than the {most}"
+                                 f" {what} of the dataset layout")
         for name in ("noise_sigma", "ramp_range", "offset_range",
                      "gain_jitter", "quant_scale"):
             value = getattr(self, name)
@@ -195,9 +200,40 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     return manifest
 
 
+_META_FIELDS = tuple(f.name for f in fields(CaptureMeta))
+
+
 def load_manifest(path) -> dict:
+    """The manifest at path.  Refuse, with ValueError, a document that is
+    not a manifest of this format and version, whose config SynthConfig
+    refuses, or with a capture entry that lacks a string path or a
+    CaptureMeta field, or holds a value that CaptureMeta refuses."""
     with open(path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"not a {MANIFEST_FORMAT} document")
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise ValueError(f"unsupported manifest version {manifest.get('version')!r}")
+    config = manifest.get("config")
+    if not isinstance(config, dict):
+        raise ValueError("config is not an object")
+    try:
+        SynthConfig(**config)
+    except (TypeError, ValueError) as exc:  # a key it does not take, or a value it refuses
+        raise ValueError(f"config: {exc}") from exc
+    captures = manifest.get("captures")
+    if not isinstance(captures, list):
+        raise ValueError("captures is not a list")
+    for i, entry in enumerate(captures):
+        if not isinstance(entry, dict):
+            raise ValueError(f"capture {i} is not an object")
+        missing = [key for key in ("path", *_META_FIELDS) if key not in entry]
+        if missing:
+            raise ValueError(f"capture {i} lacks {missing}")
+        if not isinstance(entry["path"], str):
+            raise ValueError(f"capture {i}: path {entry['path']!r} is not a string")
+        try:
+            CaptureMeta(**{name: entry[name] for name in _META_FIELDS})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"capture {i}: {exc}") from exc
     return manifest

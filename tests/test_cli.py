@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -7,7 +8,8 @@ import shutil
 import numpy as np
 import pytest
 
-from handpass.cli import main
+from handpass import cli, synth
+from handpass.cli import build_parser, main
 from handpass.dataset import FeatureMatrix, read_csv, write_csv
 
 
@@ -516,6 +518,10 @@ class TestRefusedSynth:
                                    f" 1000.0 {LARGEST_SAMPLE}"),
         ("--noise", "1e306", f"gain_jitter 0.2, noise_sigma 1e+306 and quant_scale 1000.0"
                              f" {LARGEST_SAMPLE}"),
+        # more than the user ids and capture numbers that CaptureMeta takes
+        ("--users", "21", "users 21 is more than the 20 user ids of the dataset layout"),
+        ("--captures", "6", "captures_per_user 6 is more than the 5 capture numbers"
+                            " of the dataset layout"),
     ])
     def test_refused(self, capsys, tmp_path, option, value, want):
         out_dir = tmp_path / "corpus"
@@ -575,3 +581,212 @@ class TestRefusedEnroll:
         assert code == 1
         assert err.startswith("error: ") and "feature layout" in err
         assert "enrolled" not in out and not os.path.exists(store)
+
+
+def _drop(index, key):
+    def damage(doc):
+        del doc["captures"][index][key]
+        return doc
+    return damage
+
+
+def _put(index, key, value):
+    def damage(doc):
+        doc["captures"][index][key] = value
+        return doc
+    return damage
+
+
+def _top(key, value):
+    def damage(doc):
+        doc[key] = value
+        return doc
+    return damage
+
+
+class TestMalformedManifest:
+    """A manifest that load_manifest refuses is an error line naming the
+    manifest (exit 1), not a traceback, and no slice CSV is written."""
+
+    @pytest.mark.parametrize("damage, want", [
+        (lambda doc: [1, 2], "not a handpass-synth-manifest document"),
+        (lambda doc: "manifest", "not a handpass-synth-manifest document"),
+        (_top("format", "other"), "not a handpass-synth-manifest document"),
+        (_top("version", 2), "unsupported manifest version 2"),
+        (_top("config", None), "config is not an object"),
+        (_top("config", {"bumps_per_user": 6}), "config: SynthConfig.__init__() got an"
+                                                " unexpected keyword argument 'bumps_per_user'"),
+        (_top("config", {"users": 21}), "config: users 21 is more than the 20 user ids"
+                                        " of the dataset layout"),
+        (_top("captures", {}), "captures is not a list"),
+        (_put(0, "user_id", 21), "capture 0: user_id out of range: 21"),
+        (_put(1, "capture_number", 6), "capture 1: capture_number out of range: 6"),
+        (_put(2, "gender", "X"), "capture 2: gender must be one of ('M', 'F'): 'X'"),
+        (_put(0, "hand", None), "capture 0: hand must be one of ('Right', 'Left'): None"),
+        (_put(0, "path", 7), "capture 0: path 7 is not a string"),
+        (_top("captures", [1]), "capture 0 is not an object"),
+    ] + [
+        (_drop(0, key), f"capture 0 lacks ['{key}']")
+        for key in ("path", "user_id", "gender", "hand", "capture_number")
+    ])
+    def test_refused(self, clean_corpus, capsys, tmp_path, damage, want):
+        with open(os.path.join(clean_corpus, synth.MANIFEST_NAME)) as fh:
+            doc = damage(json.load(fh))
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        manifest = corpus / synth.MANIFEST_NAME
+        manifest.write_text(json.dumps(doc))
+        out_csv = tmp_path / "D1.csv"
+        code, out, err = run(capsys, "dataset", "--in", str(corpus), "--slice", "D1",
+                             "--out", str(out_csv))
+        assert code == 1
+        assert err == f"error: {manifest}: {want}\n"
+        assert "rows x" not in out and not out_csv.exists()
+
+
+class TestServePort:
+    """A port outside 0..65535 is a usage error (exit 2) at parse time,
+    before the store loads and before any socket is bound."""
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_out_of_range_is_a_usage_error(self, enroll_env, capsys, tmp_path, port):
+        _, csv, _ = enroll_env
+        store = str(tmp_path / "store.json")
+        assert main(["enroll", "--data", csv, "--store", store, "--rate", "20",
+                     "--trees", "3", "--seed", "2"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--store", store, "--port", port])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"argument --port: {port} is not a port in 0..65535" in err
+        assert "serving" not in out
+
+
+class TestSelectTop:
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_below_one_is_refused_before_any_fit(self, d1_csv, capsys, monkeypatch, top):
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("a model was fitted"))
+        code, out, err = run(capsys, "select", "--data", d1_csv, "--top", top)
+        assert code == 1
+        assert err == f"error: --top: top_m {top} is not an integer >= 1\n"
+        assert "subcarriers by" not in out
+
+
+# Every subcommand's options in declaration order: option strings, dest,
+# default, type and choices, written out literally, so that options built
+# from the layers that own each setting cannot drift from what users type.
+OPTION_INVENTORY = {
+    "synth": [
+        (("--out",), "out", None, None, None),
+        (("--users",), "users", 20, "int", None),
+        (("--captures",), "captures", 5, "int", None),
+        (("--frames",), "frames", 5500, "int", None),
+        (("--rate",), "rate", 1000, "int", None),
+        (("--noise",), "noise", 0.5, "float", None),
+        (("--bumps",), "bumps", 4, "int", None),
+        (("--ramp",), "ramp", 0.05, "float", None),
+        (("--offset-range",), "offset_range", 3.141592653589793, "float", None),
+        (("--gain-jitter",), "gain_jitter", 0.2, "float", None),
+        (("--quant-scale",), "quant_scale", 1000.0, "float", None),
+        (("--seed",), "seed", 42, "_seed", None),
+        (("-v", "--verbose"), "verbose", argparse.SUPPRESS, None, None),
+    ],
+    "dataset": [
+        (("--in",), "indir", None, None, None),
+        (("--slice",), "slice", None, None, ("D1", "D2", "D3", "D4", "D5", "D6")),
+        (("--out",), "out", None, None, None),
+        (("--prune", "--no-prune"), "prune", True, None, None),
+        (("--include-left",), "include_left", False, None, None),
+        (("--rate",), "rate", None, "int", None),
+        (("-v", "--verbose"), "verbose", argparse.SUPPRESS, None, None),
+    ],
+    "crossval": [
+        (("--data",), "data", None, None, None),
+        (("--model",), "model", "rf", None, ("rf", "dt", "knn", "nb", "svm", "all")),
+        (("--k",), "k", 10, "int", None),
+        (("--scaler",), "scaler", "none", None, ("minmax", "zscore", "robust", "none")),
+        (("--per-fold-scaler",), "per_fold_scaler", False, None, None),
+        (("--trees",), "trees", None, "int", None),
+        (("--max-depth",), "max_depth", None, "int", None),
+        (("--knn-k",), "knn_k", None, "int", None),
+        (("--svm-epochs",), "svm_epochs", None, "int", None),
+        (("--report",), "report", None, None, None),
+        (("--seed",), "seed", 42, "_seed", None),
+        (("-v", "--verbose"), "verbose", argparse.SUPPRESS, None, None),
+    ],
+    "select": [
+        (("--data",), "data", None, None, None),
+        (("--top",), "top", 20, "int", None),
+        (("--model",), "model", "dt", None, ("dt", "rf")),
+        (("--trees",), "trees", None, "int", None),
+        (("--max-depth",), "max_depth", None, "int", None),
+        (("--report",), "report", None, None, None),
+        (("--seed",), "seed", 42, "_seed", None),
+        (("-v", "--verbose"), "verbose", argparse.SUPPRESS, None, None),
+    ],
+    "enroll": [
+        (("--data",), "data", None, None, None),
+        (("--store",), "store", None, None, None),
+        (("--model",), "model", "rf", None, ("dt", "knn", "nb", "rf", "svm")),
+        (("--scaler",), "scaler", "minmax", None, ("minmax", "zscore", "robust")),
+        (("--rate",), "rate", 1000, "int", None),
+        (("--trees",), "trees", None, "int", None),
+        (("--max-depth",), "max_depth", None, "int", None),
+        (("--knn-k",), "knn_k", None, "int", None),
+        (("--svm-epochs",), "svm_epochs", None, "int", None),
+        (("--seed",), "seed", 42, "_seed", None),
+        (("-v", "--verbose"), "verbose", argparse.SUPPRESS, None, None),
+    ],
+    "auth": [
+        (("--store",), "store", None, None, None),
+        (("--capture",), "capture", None, None, None),
+        (("--window",), "window", 1.0, "float", None),
+        (("--threshold",), "threshold", 0.6, "float", None),
+        (("--permission",), "permission", "enter", None, None),
+        (("--log",), "log", None, None, None),
+        (("-v", "--verbose"), "verbose", argparse.SUPPRESS, None, None),
+    ],
+    "serve": [
+        (("--store",), "store", None, None, None),
+        (("--host",), "host", "127.0.0.1", None, None),
+        (("--port",), "port", 5501, "int", None),
+        (("--log",), "log", None, None, None),
+        (("-v", "--verbose"), "verbose", argparse.SUPPRESS, None, None),
+    ],
+}
+
+
+class TestOptionInventory:
+    @staticmethod
+    def subparsers(monkeypatch):
+        monkeypatch.delenv("HANDPASS_SEED", raising=False)
+        parser = build_parser()
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_command_declares_the_same_options(self, monkeypatch):
+        commands = self.subparsers(monkeypatch)
+        assert list(commands) == list(OPTION_INVENTORY)
+        for name, sp in commands.items():
+            got = [(tuple(a.option_strings), a.dest, a.default,
+                    getattr(a.type, "__name__", None),
+                    None if a.choices is None else tuple(a.choices))
+                   for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+            # repr tells 1000 from 1000.0 and True from 1
+            assert repr(got) == repr(OPTION_INVENTORY[name]), name
+
+    def test_synth_defaults_build_the_default_config(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("HANDPASS_SEED", raising=False)
+        made = []
+        monkeypatch.setattr(synth, "generate",
+                            lambda cfg, out: made.append(cfg) or {"captures": []})
+        code, out, _ = run(capsys, "synth", "--out", str(tmp_path))
+        assert code == 0
+        assert made == [synth.SynthConfig()]
+        assert config_line(out) == {
+            "bumps": 4, "captures": 5, "command": "synth", "frames": 5500,
+            "gain_jitter": 0.2, "noise": 0.5, "offset_range": 3.141592653589793,
+            "out": str(tmp_path), "quant_scale": 1000.0, "ramp": 0.05, "rate": 1000,
+            "seed": 42, "users": 20, "verbose": 0,
+        }

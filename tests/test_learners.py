@@ -17,6 +17,7 @@ from handpass.errors import (
     NonFiniteFeature,
     TooFewSamples,
     UnsupportedModel,
+    _check_count,
 )
 from handpass.gatekeeper import EnrollmentStore, load_store, save_store
 from handpass.learners import (
@@ -1094,6 +1095,41 @@ class TestSelectSubcarriers:
         with pytest.raises(ValueError):
             select_subcarriers([1.0], top_m=1, names=("rssi",))
 
+    @pytest.mark.parametrize("top_m", [0, -1, 1.0, True, None])
+    def test_top_m_below_one_refused(self, top_m):
+        # 0 would pick nothing, and -1 every subcarrier but one
+        with pytest.raises(ValueError, match="^top_m .* is not an integer >= 1$"):
+            select_subcarriers(np.full(468, 1 / 468), top_m=top_m)
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("value", [np.int64(3), np.int32(3), np.uint8(3), 3])
+    def test_returns_a_plain_int(self, value):
+        got = _check_count("n", value, 1)
+        assert type(got) is int and got == 3
+
+    @pytest.mark.parametrize("value", [0, True, 2.0, "3", None])
+    def test_refused(self, value):
+        with pytest.raises(ValueError, match=f"^n {re.escape(repr(value))} is not an integer >= 1$"):
+            _check_count("n", value, 1)
+
+    def test_knn_k_is_a_plain_int(self):
+        X, y = blobs(np.random.default_rng(5))
+        model = train("knn", X, y, HyperParams(k_neighbors=np.int64(3)))
+        assert type(model.k) is int and model.k == 3
+
+
+class TestModelClasses:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_classes_given_as_a_list_become_an_array(self, kind):
+        X, y = blobs(np.random.default_rng(6))
+        model = train(kind, X, y + 10, HyperParams(n_trees=3))
+        rebuilt = dataclasses.replace(model, classes=model.classes.tolist())
+        assert type(rebuilt.classes) is np.ndarray
+        assert rebuilt.classes.dtype == model.classes.dtype
+        assert np.array_equal(rebuilt.classes, model.classes)
+        assert np.array_equal(predict(rebuilt, X), predict(model, X))
+
 
 class TestPersistence:
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -1180,6 +1216,10 @@ TREE_CORRUPTIONS = {
     "short-array": lambda t: t["impurity"].pop(),
     "value-too-wide": lambda t: [row.append(0.0) for row in t["value"]],
     "no-nodes": lambda t: t.update({k: [] for k in t if k != "n_features"}),
+    # a width that is not a count
+    "width-fraction": lambda t: t.update(n_features=t["n_features"] + 0.5),
+    "width-bool": lambda t: t.update(n_features=True),
+    "width-string": lambda t: t.update(n_features=str(t["n_features"])),
 }
 
 

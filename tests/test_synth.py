@@ -101,6 +101,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} .* is not an integer >= 1$"):
             synth.SynthConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, want", [
+        ("users", 21, "users 21 is more than the 20 user ids"),
+        ("users", np.int64(1000), "users 1000 is more than the 20 user ids"),
+        ("captures_per_user", 6, "captures_per_user 6 is more than the 5 capture numbers"),
+    ])
+    def test_more_than_the_dataset_layout_refused(self, field, value, want):
+        # CaptureMeta takes user ids 1..20 and capture numbers 1..5 only
+        with pytest.raises(ValueError, match=f"^{want} of the dataset layout$"):
+            synth.SynthConfig(**{field: value})
+
+    def test_largest_layout_is_one_dataset_reads(self, tmp_path):
+        synth.generate(tiny(users=20, captures_per_user=5, frames_per_capture=1), tmp_path)
+        manifest = synth.load_manifest(tmp_path / synth.MANIFEST_NAME)  # checks every entry
+        assert len(manifest["captures"]) == 100
+        assert {(e["user_id"], e["capture_number"]) for e in manifest["captures"]} == {
+            (u, c) for u in range(1, 21) for c in range(1, 6)}
+
     @pytest.mark.parametrize("value", [-1, np.int64(-7), 2.0, True, None])
     def test_seed_refused(self, value):
         # numpy's seed sequence takes only integers >= 0
