@@ -160,11 +160,6 @@ def cmd_dataset(args) -> int:
     return 0
 
 
-def _load_xy(path):
-    m = ds.read_csv(path)
-    return m, m.features, m.labels
-
-
 def cmd_crossval(args) -> int:
     kinds = list(KINDS) if args.model == "all" else [args.model]
     hypers = {kind: _hyper_from(args, kind) for kind in kinds}   # refused before any fit
@@ -172,7 +167,8 @@ def cmd_crossval(args) -> int:
     report_rows = []
     for data_path in args.data:
         slice_name = os.path.splitext(os.path.basename(data_path))[0]
-        _, X, y = _load_xy(data_path)
+        m = ds.read_csv(data_path)
+        X, y = m.features, m.labels
         table = []
         for kind in kinds:
             rep = cross_validate(
@@ -209,8 +205,8 @@ def cmd_crossval(args) -> int:
 def cmd_select(args) -> int:
     hyper = _hyper_from(args, args.model)
     _count_option("top", "top_m", args.top, 1)   # as select_subcarriers checks it
-    m, X, y = _load_xy(args.data)
-    model = train(args.model, X, y, hyper, args.seed)
+    m = ds.read_csv(args.data)
+    model = train(args.model, m.features, m.labels, hyper, args.seed)
     imp = feature_importance(model)
     picked = select_subcarriers(imp, args.top, names=m.feature_names)
     print(f"top {args.top} subcarriers by {KINDS[args.model]} importance:")
@@ -234,7 +230,8 @@ def _store_path(args) -> str:
 
 def cmd_enroll(args) -> int:
     path = _store_path(args)
-    _, X, y = _load_xy(args.data)
+    m = ds.read_csv(args.data)
+    X, y = m.features, m.labels
     by_user = {int(u): X[y == u] for u in np.unique(y)}
     hyper = _hyper_from(args, args.model)
     start = perf_counter()

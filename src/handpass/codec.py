@@ -13,7 +13,7 @@ record.  See docs/format.md for the byte-level layout.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -86,18 +86,8 @@ class CsiFrame:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CsiFrame):
             return NotImplemented
-        return (
-            self.magic == other.magic
-            and self.rssi == other.rssi
-            and self.frame_control == other.frame_control
-            and self.source_mac == other.source_mac
-            and self.sequence_number == other.sequence_number
-            and self.core_spatial == other.core_spatial
-            and self.chanspec == other.chanspec
-            and self.chip_version == other.chip_version
-            and self.ts_sec == other.ts_sec
-            and self.ts_usec == other.ts_usec
-            and np.array_equal(self.csi, other.csi)
+        return np.array_equal(self.csi, other.csi) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "csi"
         )
 
 
@@ -148,9 +138,7 @@ def decode_payload(payload: bytes, ts_sec: int = 0, ts_usec: int = 0) -> CsiFram
 def encode_payload(frame: CsiFrame) -> bytes:
     """Inverse of decode_payload; bit-exact for any frame the decoder accepts."""
     record = np.empty((), dtype=_PAYLOAD_DTYPE)
-    record["header"] = (frame.magic, frame.rssi, frame.frame_control, frame.source_mac,
-                        frame.sequence_number, frame.core_spatial, frame.chanspec,
-                        frame.chip_version)
+    record["header"] = tuple(getattr(frame, name) for name in HEADER_DTYPE.names)
     record["csi"] = frame.csi
     return record.tobytes()
 
@@ -173,7 +161,7 @@ def read_capture(path: str) -> CaptureFile:
     with open(path, "rb") as fh:
         data = fh.read()
 
-    if len(data) < 24:
+    if len(data) < _GLOBAL_HEADER.size:
         raise MalformedPcapHeader(f"{path}: file too short for a PCAP global header")
     first = struct.unpack("<I", data[:4])[0]
     if first == _PCAP_MAGIC:
@@ -182,24 +170,23 @@ def read_capture(path: str) -> CaptureFile:
         endian = ">"
     else:
         raise MalformedPcapHeader(f"{path}: unrecognized magic 0x{first:08x}")
-    link_type = struct.unpack(endian + "IHHiIII", data[:24])[6]
+    # _GLOBAL_HEADER's layout, in the file's byte order
+    link_type = struct.unpack_from(endian + _GLOBAL_HEADER.format[1:], data)[6]
     magic_lo, magic_hi = struct.pack("<H", CSI_MAGIC)
 
     # The record walk is the one per-record loop: each header gives the
     # offset of the next.
     incl_len = struct.Struct(endian + "I").unpack_from
     starts = []
-    truncated = None
-    pos = 24
+    pos = _GLOBAL_HEADER.size
     size = len(data)
     while pos < size:
         if pos + 16 > size:
-            truncated = f"{path}: record header truncated at offset {pos}"
-            break
+            raise TruncatedRecord(f"{path}: record header truncated at offset {pos}")
         end = pos + 16 + incl_len(data, pos + 8)[0]
         if end > size:
-            truncated = f"{path}: record at offset {pos} declares {end - pos - 16} bytes past EOF"
-            break
+            raise TruncatedRecord(
+                f"{path}: record at offset {pos} declares {end - pos - 16} bytes past EOF")
         starts.append(pos)
         pos = end
 
@@ -233,8 +220,6 @@ def read_capture(path: str) -> CaptureFile:
         & (n_payload >= 2) & (at(payload) == magic_lo) & (at(payload + 1) == magic_hi)
     )
     good = is_csi & (n_payload == PAYLOAD_LEN)
-    if truncated is not None:
-        raise TruncatedRecord(truncated)
 
     # Both columns are contiguous copies, so neither keeps the rows alive.
     payloads = _gather(buf, payload[good], PAYLOAD_LEN).view(_PAYLOAD_DTYPE).reshape(-1)

@@ -23,7 +23,7 @@ from .dsp import (
     sanitize_phase,
     to_cfr,
 )
-from .errors import InsufficientRows, RaggedRows, ZeroSignal
+from .errors import InsufficientRows, RaggedRows, ZeroSignal, _check_count
 
 GENDERS = ("M", "F")
 HANDS = ("Right", "Left")
@@ -50,6 +50,13 @@ _MASK = SubcarrierMask()
 _SANITIZER = SanitizerConfig()
 
 
+def _check_member(name, value, allowed):
+    """value; refuse, with ValueError, a value that is not in allowed."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CaptureMeta:
     """Identity of one capture session."""
@@ -60,13 +67,11 @@ class CaptureMeta:
     user_id: int
 
     def __post_init__(self):
-        if not 1 <= self.capture_number <= _MAX_CAPTURE:
+        if _check_count("capture_number", self.capture_number, 1) > _MAX_CAPTURE:
             raise ValueError(f"capture_number out of range: {self.capture_number}")
-        if self.gender not in GENDERS:
-            raise ValueError(f"gender must be one of {GENDERS}: {self.gender!r}")
-        if self.hand not in HANDS:
-            raise ValueError(f"hand must be one of {HANDS}: {self.hand!r}")
-        if not 1 <= self.user_id <= _MAX_USER_ID:
+        _check_member("gender", self.gender, GENDERS)
+        _check_member("hand", self.hand, HANDS)
+        if _check_count("user_id", self.user_id, 1) > _MAX_USER_ID:
             raise ValueError(f"user_id out of range: {self.user_id}")
 
 
@@ -277,8 +282,9 @@ def write_csv(m: FeatureMatrix, path) -> None:
 
 def read_csv(path) -> FeatureMatrix:
     """Read a CSV written by write_csv.  A row of the wrong width, or
-    with a feature that is not a float or a capture or user_id that is
-    not an integer, raises RaggedRows naming its line.
+    with a feature that is not a float, a capture or user_id that is not
+    an integer, or a gender or hand not in GENDERS or HANDS, raises
+    RaggedRows naming its line.
 
     Every row is parsed into one growing float64 buffer, which becomes
     the (n, d) table without a copy, so the table is allocated once: the
@@ -303,11 +309,11 @@ def read_csv(path) -> FeatureMatrix:
             try:
                 feats.extend(map(float, parts[:d]))
                 caps.append(int(parts[d]))
+                genders.append(_check_member("gender", parts[d + 1], GENDERS))
+                hands.append(_check_member("hand", parts[d + 2], HANDS))
                 users.append(int(parts[d + 3]))
             except ValueError as exc:
                 raise RaggedRows(f"{path}:{lineno}: {exc}") from exc
-            genders.append(parts[d + 1])
-            hands.append(parts[d + 2])
     return FeatureMatrix(
         features=np.frombuffer(feats, dtype=np.float64).reshape(len(caps), d),
         feature_names=fnames,

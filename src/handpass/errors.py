@@ -52,7 +52,8 @@ class DimensionMismatch(HandpassError):
 
 class RaggedRows(HandpassError):
     """A CSV row has a different field count than the header, or a field
-    that does not parse as its column's number."""
+    that does not parse as its column's number or is not one of its
+    column's values."""
 
 
 class InsufficientRows(HandpassError):

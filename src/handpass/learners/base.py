@@ -21,7 +21,9 @@ KINDS = {
     "nb": "GaussianNB",
     "svm": "LinearSVM",
 }
-_CANONICAL = set(KINDS.values())
+# canonical model kind -> its model class
+MODEL_CLASSES = {cls.kind: cls for cls in (
+    DecisionTreeModel, RandomForestModel, KnnModel, GaussianNbModel, LinearSvmModel)}
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class HyperParams:
 
 
 def canonical_kind(kind: str) -> str:
-    if kind in _CANONICAL:
+    if kind in MODEL_CLASSES:
         return kind
     if kind in KINDS:
         return KINDS[kind]
@@ -114,12 +116,3 @@ def predict(model, rows) -> np.ndarray:
     """argmax of scores; ties resolve to the lowest class label."""
     s = model.scores(rows)
     return model.classes[np.argmax(s, axis=1)]
-
-
-MODEL_CLASSES = {
-    "DecisionTree": DecisionTreeModel,
-    "RandomForest": RandomForestModel,
-    "KNN": KnnModel,
-    "GaussianNB": GaussianNbModel,
-    "LinearSVM": LinearSvmModel,
-}

@@ -628,6 +628,11 @@ class TestMalformedManifest:
     ] + [
         (_drop(0, key), f"capture 0 lacks ['{key}']")
         for key in ("path", "user_id", "gender", "hand", "capture_number")
+    ] + [
+        (_put(0, "user_id", 1.5), "capture 0: user_id 1.5 is not an integer >= 1"),
+        (_put(0, "user_id", True), "capture 0: user_id True is not an integer >= 1"),
+        (_put(1, "capture_number", True), "capture 1: capture_number True is not an integer >= 1"),
+        (_put(1, "capture_number", 1.0), "capture 1: capture_number 1.0 is not an integer >= 1"),
     ])
     def test_refused(self, clean_corpus, capsys, tmp_path, damage, want):
         with open(os.path.join(clean_corpus, synth.MANIFEST_NAME)) as fh:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import struct
@@ -116,6 +117,37 @@ class TestEncodeDecode:
         assert a == b
         b.csi[100, 0] += 1
         assert a != b
+
+
+# one changed value for each of CsiFrame's 11 fields; the defaults differ from all
+FIELD_CHANGES = {
+    "magic": 0x2222, "rssi": -60, "frame_control": 0x88, "source_mac": b"\x00" * 5 + b"\x01",
+    "sequence_number": 17, "core_spatial": 9, "chanspec": 0xE22A, "chip_version": 1,
+    "csi": np.ones((256, 2), dtype=np.int16), "ts_sec": 1, "ts_usec": 1,
+}
+
+
+class TestFrameEquality:
+    def test_changes_cover_every_field(self):
+        assert sorted(FIELD_CHANGES) == sorted(f.name for f in dataclasses.fields(CsiFrame))
+
+    @pytest.mark.parametrize("name", sorted(FIELD_CHANGES))
+    def test_any_one_field_changed_is_unequal(self, name):
+        base = CsiFrame()
+        changed = dataclasses.replace(base, **{name: FIELD_CHANGES[name]})
+        assert base != changed and changed != base
+        assert not base == changed
+
+    def test_identical_copy_is_equal(self):
+        a = random_frame(np.random.default_rng(3), ts=(5, 6))
+        b = dataclasses.replace(a, csi=a.csi.copy())
+        assert a == b and b == a and not a != b
+
+    @pytest.mark.parametrize("other", [None, 0, "frame", b"\x11\x11", object()])
+    def test_non_frame_is_unequal(self, other):
+        frame = CsiFrame()
+        assert frame != other and other != frame
+        assert not frame == other
 
 
 class TestReadCapture:

@@ -46,6 +46,10 @@ class TestMeta:
             {"hand": "right"},
             {"user_id": 0},
             {"user_id": 21},
+            {"user_id": 1.5},
+            {"user_id": True},
+            {"capture_number": True},
+            {"capture_number": 2.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -272,7 +276,12 @@ class TestCsv:
         (2, "x", "could not convert string to float: 'x'"),
         (3, "one", "invalid literal for int() with base 10: 'one'"),    # capture
         (6, "7.5", "invalid literal for int() with base 10: '7.5'"),    # user_id
-    ], ids=["feature-abc", "feature-x", "capture", "user_id"])
+        (4, "Male", "gender must be one of ('M', 'F'): 'Male'"),
+        (4, "", "gender must be one of ('M', 'F'): ''"),
+        (5, "Righteous", "hand must be one of ('Right', 'Left'): 'Righteous'"),
+        (5, "right", "hand must be one of ('Right', 'Left'): 'right'"),
+    ], ids=["feature-abc", "feature-x", "capture", "user_id", "gender-Male", "gender-empty",
+            "hand-Righteous", "hand-right"])
     def test_bad_fields_name_their_line(self, tmp_path, column, cell, message):
         m = self.make_matrix(width=3)
         path = tmp_path / "rows.csv"
