@@ -143,12 +143,14 @@ def _rows_from_manifest(args, manifest):
 
 
 def cmd_dataset(args) -> int:
+    if args.rate is not None:   # as slice_dataset checks it, before any capture is read
+        _count_option("rate", "packets_per_second", args.rate, 1)
     path = os.path.join(args.indir, synth.MANIFEST_NAME)
     try:
         manifest = synth.load_manifest(path)
     except ValueError as exc:  # a document that is not a manifest load_manifest takes
         raise HandpassError(f"{path}: {exc}") from exc
-    rate = args.rate or manifest["config"]["packets_per_second"]
+    rate = manifest["config"]["packets_per_second"] if args.rate is None else args.rate
     rows, dropped, skipped, bad_csi = _rows_from_manifest(args, manifest)
     sliced = ds.slice_dataset(rows, args.slice, rate,
                               right_hand_only=not args.include_left)
@@ -295,7 +297,9 @@ def cmd_serve(args) -> int:
     audit = gk.AuditLog(args.log) if args.log else None
     server = gk.AuthServer((args.host, args.port), store, audit)
     host, port = server.server_address[:2]
-    print(f"serving on {host}:{port} (ctrl-c to stop)")
+    # flushed: a redirected stdout is block-buffered, and with --port 0 this
+    # line is the only place the port shows
+    print(f"serving on {host}:{port} (ctrl-c to stop)", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

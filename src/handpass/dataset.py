@@ -117,6 +117,18 @@ class FeatureMatrix:
         return self.user_id
 
     @classmethod
+    def _of(cls, features: np.ndarray, feature_names: tuple, metas) -> "FeatureMatrix":
+        """The table whose metadata columns hold one CaptureMeta per row."""
+        return cls(
+            features=features,
+            feature_names=feature_names,
+            capture=np.array([m.capture_number for m in metas], dtype=np.int64),
+            gender=np.array([m.gender for m in metas], dtype="<U1"),
+            hand=np.array([m.hand for m in metas], dtype="<U5"),
+            user_id=np.array([m.user_id for m in metas], dtype=np.int64),
+        )
+
+    @classmethod
     def from_rows(cls, rows: Sequence[FeatureRow], feature_names) -> "FeatureMatrix":
         """Stack the rows' features straight into one float64 table, so the
         table is allocated once: the peak is about 1.1x the table."""
@@ -125,14 +137,7 @@ class FeatureMatrix:
             feats = np.stack([r.features for r in rows], dtype=np.float64)
         else:
             feats = np.empty((0, len(names)), dtype=np.float64)
-        return cls(
-            features=feats,
-            feature_names=names,
-            capture=np.array([r.meta.capture_number for r in rows], dtype=np.int64),
-            gender=np.array([r.meta.gender for r in rows], dtype="<U1"),
-            hand=np.array([r.meta.hand for r in rows], dtype="<U5"),
-            user_id=np.array([r.meta.user_id for r in rows], dtype=np.int64),
-        )
+        return cls._of(feats, names, [r.meta for r in rows])
 
 
 @dataclass
@@ -142,10 +147,15 @@ class DatasetSlice:
     rows: FeatureMatrix
 
 
-def feature_names(prune: bool = False) -> tuple:
+def feature_names(prune: bool) -> tuple:
     """Column names amp_<k>, phase_<k> with k the logical subcarrier index."""
     ks = list(_MASK.useful) if prune else list(range(-128, 128))
     return tuple(f"amp_{k}" for k in ks) + tuple(f"phase_{k}" for k in ks)
+
+
+# The two feature layouts, width -> prune: 468 with the 22 null/pilot
+# subcarriers dropped, 512 with every subcarrier.
+_LAYOUTS = {len(feature_names(prune)): prune for prune in (True, False)}
 
 
 def features(
@@ -210,15 +220,6 @@ def build_rows(capture: CaptureFile, meta: CaptureMeta, prune: bool = True) -> t
     return rows, len(kept) - len(rows)
 
 
-def _layout_names(width: int):
-    """Feature names of the pruned or full layout that is ``width`` wide, or None."""
-    for prune in (True, False):
-        names = feature_names(prune=prune)
-        if len(names) == width:
-            return names
-    return None
-
-
 def slice_dataset(
     rows: Iterable[FeatureRow],
     slice_name: str,
@@ -235,7 +236,7 @@ def slice_dataset(
     if slice_name not in SLICE_DEFS:
         raise ValueError(f"unknown slice {slice_name!r}; expected one of {sorted(SLICE_DEFS)}")
     seconds, captures = SLICE_DEFS[slice_name]
-    need = math.ceil(seconds * packets_per_second)
+    need = math.ceil(seconds * _check_count("packets_per_second", packets_per_second, 1))
 
     pool = [r for r in rows if not right_hand_only or r.meta.hand == "Right"]
     if not pool:
@@ -261,7 +262,10 @@ def slice_dataset(
                 )
             picked.extend(have[:need])
 
-    names = _layout_names(width) or tuple(f"f_{i}" for i in range(width))
+    if width in _LAYOUTS:
+        names = feature_names(_LAYOUTS[width])
+    else:
+        names = tuple(f"f_{i}" for i in range(width))
     return DatasetSlice(rows=FeatureMatrix.from_rows(picked, names))
 
 
@@ -280,11 +284,23 @@ def write_csv(m: FeatureMatrix, path) -> None:
             fh.write(feats + "," + meta + "\n" if feats else meta + "\n")
 
 
+def _csv_meta(capture, gender, hand, user_id) -> CaptureMeta:
+    """The CaptureMeta of a CSV row's metadata cells.  capture and user_id
+    must be decimal numerals, as write_csv writes them: int() also takes
+    "+2", " 4" and "1_000"."""
+    for name, cell in (("capture", capture), ("user_id", user_id)):
+        if not cell.isdigit():          # the file is ASCII, so this is [0-9]+
+            int(cell)                   # a cell that is no integer keeps int()'s message
+            raise ValueError(f"{name} {cell!r} is not a decimal numeral")
+    return CaptureMeta(int(capture), gender, hand, int(user_id))
+
+
 def read_csv(path) -> FeatureMatrix:
-    """Read a CSV written by write_csv.  A row of the wrong width, or
-    with a feature that is not a float, a capture or user_id that is not
-    an integer, or a gender or hand not in GENDERS or HANDS, raises
-    RaggedRows naming its line.
+    """Read a CSV written by write_csv.  A row of the wrong width, a row
+    holding "_" or a space (float("1_0") is 10.0), a feature that is not
+    a float, or metadata that CaptureMeta refuses (captures 1-5, user ids
+    1-20, GENDERS, HANDS) raises RaggedRows naming its line.  Each
+    distinct metadata tuple is checked once.
 
     Every row is parsed into one growing float64 buffer, which becomes
     the (n, d) table without a copy, so the table is allocated once: the
@@ -299,7 +315,7 @@ def read_csv(path) -> FeatureMatrix:
             raise RaggedRows(f"{path}: header must end with {META_COLUMNS}")
         fnames = tuple(names[:-4])
         d = len(fnames)
-        feats, caps, genders, hands, users = array("d"), [], [], [], []
+        feats, metas, known = array("d"), [], {}
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
             if len(parts) != d + 4:
@@ -307,18 +323,15 @@ def read_csv(path) -> FeatureMatrix:
                     f"{path}:{lineno}: {len(parts)} fields, expected {d + 4}"
                 )
             try:
+                if "_" in line or " " in line:
+                    raise ValueError("a field holds '_' or ' '")
                 feats.extend(map(float, parts[:d]))
-                caps.append(int(parts[d]))
-                genders.append(_check_member("gender", parts[d + 1], GENDERS))
-                hands.append(_check_member("hand", parts[d + 2], HANDS))
-                users.append(int(parts[d + 3]))
+                cells = tuple(parts[d:])
+                meta = known.get(cells)
+                if meta is None:
+                    meta = known[cells] = _csv_meta(*cells)
+                metas.append(meta)
             except ValueError as exc:
                 raise RaggedRows(f"{path}:{lineno}: {exc}") from exc
-    return FeatureMatrix(
-        features=np.frombuffer(feats, dtype=np.float64).reshape(len(caps), d),
-        feature_names=fnames,
-        capture=np.array(caps, dtype=np.int64),
-        gender=np.array(genders, dtype="<U1"),
-        hand=np.array(hands, dtype="<U5"),
-        user_id=np.array(users, dtype=np.int64),
-    )
+    table = np.frombuffer(feats, dtype=np.float64).reshape(len(metas), d)
+    return FeatureMatrix._of(table, fnames, metas)

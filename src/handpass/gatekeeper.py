@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .codec import N_SUBCARRIERS
-from .dataset import _MASK, _SANITIZER, features
+from .dataset import _LAYOUTS, _MASK, _SANITIZER, features
 from .dsp import FittedScaler, fit_scaler
 from .errors import (
     BadPolicy,
@@ -55,7 +55,6 @@ MAX_REQUEST_FRAMES = 10_000
 MAX_REQUEST_BYTES = (
     MAX_REQUEST_FRAMES * (len(json.dumps([[-32768, -32768]] * N_SUBCARRIERS)) + 2) + 65536
 )
-_PRUNED_WIDTH = 2 * len(_MASK.useful)  # 468; 512 with every bin
 
 
 @dataclass
@@ -77,13 +76,13 @@ class EnrollmentStore:
             raise ValueError("roster contains users the model was not trained on")
         a, b = len(self.scaler.a), len(self.scaler.b)
         model = self.model.n_features
-        if model not in (_PRUNED_WIDTH, 2 * N_SUBCARRIERS) or not a == b == model:
+        if model not in _LAYOUTS or not a == b == model:
             raise ValueError(f"store widths disagree: scaler {a}/{b}, model {model},"
-                             f" feature layout {_PRUNED_WIDTH} or {2 * N_SUBCARRIERS}")
+                             f" feature layout {' or '.join(map(str, _LAYOUTS))}")
 
     @property
     def prune(self) -> bool:
-        return self.model.n_features == _PRUNED_WIDTH
+        return _LAYOUTS[self.model.n_features]
 
 
 @dataclass
@@ -148,10 +147,11 @@ def authenticate(
 
     csi is the window as an (n, 256, 2) int16 block in hardware order
     (``CaptureFile.csi``, or inline frames decoded by the service).  The
-    window must span window_seconds at the store's packet rate.
-    Frames that fail preprocessing (all-zero) are dropped; the modal
-    prediction over the rest must reach the vote-share threshold and
-    be enrolled with the required permission.
+    window must span window_seconds at the store's packet rate, and so
+    must its distinct frames: a frame sent more than once counts once, at
+    its first copy, and frames that fail preprocessing (all-zero) are
+    dropped.  The modal prediction over the rest must reach the
+    vote-share threshold and be enrolled with the required permission.
 
     A threshold that is NaN, infinite or negative, or a window that is
     not a finite positive length, raises BadPolicy: NaN compares false
@@ -173,10 +173,21 @@ def authenticate(
             f"{len(csi)} frames span less than {window_seconds} s"
             f" at {store.packets_per_second} pkt/s (need {need})"
         )
+    flat = np.ascontiguousarray(csi).reshape(len(csi), -1)
+    # each frame's bytes as one item, which sorts far faster than np.unique(axis=0)
+    _, first = np.unique(flat.view((np.void, flat.shape[1] * flat.itemsize)),
+                         return_index=True)
+    if len(first) < len(csi):
+        csi = csi[np.sort(first)]
     X, _ = features(csi, _MASK, _SANITIZER, store.prune)
     used = X.shape[0]
     if not used:
         raise ZeroSignal("every frame in the window was degenerate")
+    if used < need:
+        raise WindowTooShort(
+            f"{used} distinct non-zero frames span less than {window_seconds} s"
+            f" at {store.packets_per_second} pkt/s (need {need})"
+        )
     preds = predict(store.model, store.scaler.transform(X))
     values, counts = np.unique(preds, return_counts=True)
     top = int(np.argmax(counts))  # ties resolve to the lowest label

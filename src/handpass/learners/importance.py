@@ -45,15 +45,9 @@ def feature_importance(model) -> np.ndarray:
     )
 
 
-def subcarrier_importance(importances, names=None) -> dict:
-    """Summed (amplitude + phase) importance per logical subcarrier index.
-
-    names defaults to the pruned feature layout.
-    """
-    if names is None:
-        from ..dataset import feature_names
-
-        names = feature_names(prune=True)
+def subcarrier_importance(importances, names) -> dict:
+    """Summed (amplitude + phase) importance per logical subcarrier index,
+    with names the feature columns (amp_<k>, phase_<k>) in order."""
     importances = np.asarray(importances, dtype=np.float64)
     if importances.shape[0] != len(names):
         raise ValueError(
@@ -68,11 +62,10 @@ def subcarrier_importance(importances, names=None) -> dict:
     return per_k
 
 
-def select_subcarriers(importances, top_m: int, names=None) -> list:
-    """Top subcarriers by summed (amplitude + phase) importance.
-
-    names defaults to the pruned feature layout.  Ties break toward the
-    lower subcarrier index.  A top_m that is not an integer >= 1 raises
+def select_subcarriers(importances, top_m: int, names) -> list:
+    """Top subcarriers by summed (amplitude + phase) importance, with
+    names the feature columns in order.  Ties break toward the lower
+    subcarrier index.  A top_m that is not an integer >= 1 raises
     ValueError.
     """
     top_m = _check_count("top_m", top_m, 1)

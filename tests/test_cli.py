@@ -3,7 +3,10 @@ import json
 import logging
 import os
 import re
+import select
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +174,18 @@ class TestDataset:
         assert code == 0
         assert read_csv(out).n_columns == 516
 
+    @pytest.mark.parametrize("rate", ["-5", "0"])
+    def test_rate_below_one_is_refused_before_any_read(self, clean_corpus, tmp_path, capsys,
+                                                       monkeypatch, rate):
+        # -5 wrote a short slice (have[:-5]) and 0 took the manifest's rate, both with exit 0
+        monkeypatch.setattr(cli, "read_capture", lambda *a: pytest.fail("a capture was read"))
+        out = tmp_path / "D1.csv"
+        code, stdout, err = run(capsys, "dataset", "--in", clean_corpus, "--slice", "D1",
+                                "--out", str(out), "--rate", rate)
+        assert code == 1
+        assert err == f"error: --rate: packets_per_second {rate} is not an integer >= 1\n"
+        assert "rows x" not in stdout and not out.exists()
+
     def test_scaler_flag_removed(self, clean_corpus, tmp_path):
         # scaling belongs to crossval (--scaler) and enroll, which fit it
         # on the rows they train on
@@ -273,6 +288,17 @@ class TestSelect:
         lines = open(report).read().splitlines()
         assert lines[0] == "subcarrier,importance"
         assert len(lines) == 1 + 234
+
+    def test_unpruned_slice_reports_every_subcarrier(self, clean_corpus, capsys, tmp_path):
+        # the names come from the CSV, so the 512-wide layout maps to all 256 bins
+        data, report = str(tmp_path / "full.csv"), str(tmp_path / "imp.csv")
+        assert main(["dataset", "--in", clean_corpus, "--slice", "D1", "--out", data,
+                     "--no-prune"]) == 0
+        code, _, _ = run(capsys, "select", "--data", data, "--report", report, "--seed", "1")
+        assert code == 0
+        lines = open(report).read().splitlines()
+        assert lines[0] == "subcarrier,importance"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(-128, 128))
 
 
 @pytest.fixture(scope="module")
@@ -666,6 +692,32 @@ class TestServePort:
         out, err = capsys.readouterr()
         assert f"argument --port: {port} is not a port in 0..65535" in err
         assert "serving" not in out
+
+
+class TestServeOutput:
+    def test_serving_line_is_written_while_stdout_is_a_pipe(self, enroll_env, tmp_path):
+        # a pipe makes stdout block-buffered; with --port 0 the line is the only
+        # place the port shows, so it must arrive while the server runs
+        _, csv, _ = enroll_env
+        store = str(tmp_path / "store.json")
+        assert main(["enroll", "--data", csv, "--store", store, "--rate", "20",
+                     "--trees", "3", "--seed", "2"]) == 0
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen([sys.executable, "-m", "handpass", "serve", "--store", store,
+                                 "--port", "0"], env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True)
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no output within 10 s"
+            assert proc.stdout.readline().startswith("config: ")
+            line = proc.stdout.readline()
+            assert re.fullmatch(r"serving on 127\.0\.0\.1:[1-9]\d* \(ctrl-c to stop\)\n", line)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestSelectTop:

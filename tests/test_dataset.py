@@ -34,7 +34,7 @@ def flat_row(width, user, cap, idx, hand="Right"):
 
 class TestMeta:
     def test_label_is_user_id(self):
-        m = FeatureMatrix.from_rows([flat_row(4, 7, 1, 0)], feature_names()[:4])
+        m = FeatureMatrix.from_rows([flat_row(4, 7, 1, 0)], feature_names(prune=False)[:4])
         assert m.labels.tolist() == [7]
 
     @pytest.mark.parametrize(
@@ -223,6 +223,12 @@ class TestSliceDataset:
         with pytest.raises(RaggedRows):
             slice_dataset(pool, "D1", 1)
 
+    @pytest.mark.parametrize("rate", [-5, 0])
+    def test_rate_below_one_refused(self, rate):
+        # a negative rate made have[:need] drop the last rows of each capture
+        with pytest.raises(ValueError, match=f"^packets_per_second {rate} is not an integer >= 1$"):
+            slice_dataset(self.pool(), "D1", rate)
+
     def test_each_user_contributes_equally(self):
         pool = self.pool(users=4, per_capture=25)
         sl = slice_dataset(pool, "D3", packets_per_second=5)
@@ -280,8 +286,15 @@ class TestCsv:
         (4, "", "gender must be one of ('M', 'F'): ''"),
         (5, "Righteous", "hand must be one of ('Right', 'Left'): 'Righteous'"),
         (5, "right", "hand must be one of ('Right', 'Left'): 'right'"),
+        (3, "0", "capture_number 0 is not an integer >= 1"),
+        (3, "6", "capture_number out of range: 6"),
+        (6, "21", "user_id out of range: 21"),
+        (6, "+2", "user_id '+2' is not a decimal numeral"),
+        (0, "1_0", "a field holds '_' or ' '"),                          # float() reads 10.0
+        (6, "1 ", "a field holds '_' or ' '"),
     ], ids=["feature-abc", "feature-x", "capture", "user_id", "gender-Male", "gender-empty",
-            "hand-Righteous", "hand-right"])
+            "hand-Righteous", "hand-right", "capture-0", "capture-6", "user_id-21",
+            "user_id-plus", "feature-underscore", "user_id-space"])
     def test_bad_fields_name_their_line(self, tmp_path, column, cell, message):
         m = self.make_matrix(width=3)
         path = tmp_path / "rows.csv"
@@ -299,6 +312,20 @@ class TestCsv:
         path.write_text("\n".join(good) + "\n")
         with pytest.raises(RaggedRows, match=r"rows\.csv:5: 8 fields, expected 7$"):
             read_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1_0,2,0,M,Right,-3", "a field holds '_' or ' '"),
+        ("3,4,9,F,Left,1_000", "a field holds '_' or ' '"),
+        ("10,2,1,M,Right,-3", "user_id '-3' is not a decimal numeral"),
+    ], ids=["row-1", "row-2", "user_id-minus"])
+    def test_metadata_follows_the_manifest_rules(self, tmp_path, row, message):
+        # the two rows read back as features [10.0, 2.0], capture 0 and user -3,
+        # and as capture 9 and user 1000, before the cells were checked
+        path = tmp_path / "rows.csv"
+        path.write_text("f_0,f_1," + ",".join(META_COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(RaggedRows) as exc:
+            read_csv(path)
+        assert str(exc.value) == f"{path}:2: {message}"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

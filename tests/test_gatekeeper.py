@@ -231,6 +231,57 @@ class TestAuthenticate:
         assert acc[100] >= 0.95
 
 
+@pytest.fixture(scope="module")
+def replay_env(tmp_path_factory):
+    """RF-50 enrolled on 100 session-1 frames of users 1-4 of a 6-user
+    corpus at 50 pkt/s; session-2 frames of all six users as probes."""
+    root = tmp_path_factory.mktemp("replay")
+    cfg = synth.SynthConfig(users=6, captures_per_user=2, frames_per_capture=200,
+                            packets_per_second=50, noise_sigma=0.3, seed=1)
+    rows_by_user, probes = {}, {}
+    for entry in synth.generate(cfg, root)["captures"]:
+        cap = read_capture(os.path.join(root, entry["path"]))
+        uid = entry["user_id"]
+        if entry["capture_number"] == 2:
+            probes[uid] = cap.csi
+        elif uid <= 4:
+            meta = CaptureMeta(1, entry["gender"], entry["hand"], uid)
+            rows, _ = build_rows(cap, meta)
+            rows_by_user[uid] = np.stack([r.features for r in rows[:100]])
+    store = enroll(rows_by_user, HyperParams(n_trees=50), seed=0, packets_per_second=50)
+    return store, probes
+
+
+class TestRepeatedFrames:
+    """A window counts each distinct frame once: one frame sent 50 times
+    is one frame of evidence, not a 1.0 vote share."""
+
+    @pytest.mark.parametrize("uid", [2, 5], ids=["enrolled", "never-enrolled"])
+    def test_one_frame_repeated_is_refused(self, replay_env, uid):
+        store, probes = replay_env
+        window = np.repeat(probes[uid][:1], 50, axis=0)
+        with pytest.raises(WindowTooShort, match=r"^1 distinct non-zero frames .*\(need 50\)$"):
+            authenticate(store, window)
+
+    @pytest.mark.parametrize("uid", [1, 5])
+    def test_repeats_are_decided_as_the_distinct_frames(self, replay_env, uid):
+        store, probes = replay_env
+        mixed = np.concatenate([probes[uid][:30], probes[3][:20]])   # 50 distinct frames
+        # copies of user 3's frames, in and after the window, would tip the vote
+        padded = np.concatenate([mixed[:10], mixed[40:45], mixed[10:], mixed[30:50],
+                                 mixed[30:50]])
+        want = authenticate(store, mixed)
+        got = authenticate(store, padded)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert got.frames_used == 50
+
+    def test_zero_frames_and_repeats_leave_too_few(self, replay_env):
+        store, probes = replay_env
+        window = np.concatenate([probes[1][:49], zero_frames(1), probes[1][:1]])
+        with pytest.raises(WindowTooShort, match=r"^49 distinct non-zero frames"):
+            authenticate(store, window)
+
+
 class TestStorePersistence:
     def test_roundtrip_decisions(self, auth_env, tmp_path):
         store, probes, _ = auth_env

@@ -51,3 +51,20 @@ def test_module_help_exits_0():
     proc = fresh("-m", "handpass", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+# The names the learners package binds: what program code, the benchmark,
+# README and the release criteria import from it.  The model classes, the
+# kind table and the fold helpers stay in their own modules.
+LEARNERS_SURFACE = ["HyperParams", "KINDS", "cross_validate", "default_hyper",
+                    "feature_importance", "model_from_doc", "model_to_doc", "predict",
+                    "predict_scores", "select_subcarriers", "train"]
+
+
+def test_learners_binds_only_the_names_its_callers_import():
+    proc = fresh("-c", "import json, types\nimport handpass.learners as L\n"
+                       "print(json.dumps(sorted(n for n, v in vars(L).items()"
+                       " if n == '__all__' or not (n.startswith('__')"
+                       " or isinstance(v, types.ModuleType)))))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == LEARNERS_SURFACE

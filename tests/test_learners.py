@@ -9,7 +9,7 @@ import pytest
 
 from handpass import synth
 from handpass.codec import read_capture
-from handpass.dataset import CaptureMeta, build_rows, slice_dataset
+from handpass.dataset import CaptureMeta, build_rows, feature_names, slice_dataset
 from handpass.dsp import fit_scaler
 from handpass.errors import (
     DegenerateLabels,
@@ -22,8 +22,6 @@ from handpass.errors import (
 from handpass.gatekeeper import EnrollmentStore, load_store, save_store
 from handpass.learners import (
     HyperParams,
-    RandomForestModel,
-    canonical_kind,
     cross_validate,
     default_hyper,
     feature_importance,
@@ -32,16 +30,16 @@ from handpass.learners import (
     predict,
     predict_scores,
     select_subcarriers,
-    stratified_folds,
     train,
 )
-from handpass.learners.base import MODEL_CLASSES
+from handpass.learners.base import MODEL_CLASSES, canonical_kind
+from handpass.learners.forest import RandomForestModel
 from handpass.learners.importance import _tree_importances
 from handpass.learners.persist import arrays_hook
 from handpass.learners import tree as tree_module
 from handpass.learners import validate as validate_module
 from handpass.learners.tree import SplitData, best_splits, gini, grow_tree, resolve_max_features
-from handpass.learners.validate import confusion_matrix, metrics_from_confusion
+from handpass.learners.validate import confusion_matrix, metrics_from_confusion, stratified_folds
 
 ALL_KINDS = ("dt", "rf", "knn", "nb", "svm")
 
@@ -1084,7 +1082,7 @@ class TestSelectSubcarriers:
 
     def test_default_names_cover_all_useful(self):
         imp = np.full(468, 1 / 468)
-        ks = select_subcarriers(imp, top_m=234)
+        ks = select_subcarriers(imp, top_m=234, names=feature_names(prune=True))
         assert len(ks) == 234 and ks == sorted(ks)
 
     def test_length_mismatch(self):
@@ -1099,7 +1097,8 @@ class TestSelectSubcarriers:
     def test_top_m_below_one_refused(self, top_m):
         # 0 would pick nothing, and -1 every subcarrier but one
         with pytest.raises(ValueError, match="^top_m .* is not an integer >= 1$"):
-            select_subcarriers(np.full(468, 1 / 468), top_m=top_m)
+            select_subcarriers(np.full(468, 1 / 468), top_m=top_m,
+                               names=feature_names(prune=True))
 
 
 class TestCountRule:
