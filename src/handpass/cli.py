@@ -39,7 +39,7 @@ from .learners import (
     select_subcarriers,
     train,
 )
-from .learners.importance import subcarrier_importance
+from .learners.importance import subcarrier_importance, subcarriers
 
 log = logging.getLogger("handpass")
 
@@ -208,6 +208,10 @@ def cmd_select(args) -> int:
     hyper = _hyper_from(args, args.model)
     _count_option("top", "top_m", args.top, 1)   # as select_subcarriers checks it
     m = ds.read_csv(args.data)
+    try:
+        subcarriers(m.feature_names)   # as the ranking maps them, before any fit
+    except ValueError as exc:
+        raise HandpassError(f"{args.data}: {exc}") from exc
     model = train(args.model, m.features, m.labels, hyper, args.seed)
     imp = feature_importance(model)
     picked = select_subcarriers(imp, args.top, names=m.feature_names)
@@ -238,6 +242,7 @@ def cmd_enroll(args) -> int:
     hyper = _hyper_from(args, args.model)
     start = perf_counter()
     try:
+        ds.feature_layout(m.feature_names)   # the columns the store's layout builds
         store = gk.enroll(
             by_user,
             hyper=hyper,
@@ -246,7 +251,7 @@ def cmd_enroll(args) -> int:
             scaler_kind=args.scaler,
             packets_per_second=args.rate,
         )
-    except ValueError as exc:  # e.g. a rate or row width that the store refuses
+    except ValueError as exc:  # e.g. a rate, or columns, that the store refuses
         raise HandpassError(f"cannot enroll: {exc}") from exc
     fitted = perf_counter()
     gk.save_store(store, path)

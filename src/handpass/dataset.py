@@ -158,6 +158,17 @@ def feature_names(prune: bool) -> tuple:
 _LAYOUTS = {len(feature_names(prune)): prune for prune in (True, False)}
 
 
+def feature_layout(names) -> bool:
+    """The prune setting whose feature_names are names, in order; refuse,
+    with ValueError, any other columns (a slice CSV whose blocks were
+    reordered or renamed would train a model on the wrong features)."""
+    prune = _LAYOUTS.get(len(names))
+    if prune is None or tuple(names) != feature_names(prune):
+        raise ValueError(f"{len(names)} feature columns are not a feature layout: amp_<k>"
+                         " then phase_<k> over the 234 useful or all 256 subcarriers")
+    return prune
+
+
 def features(
     csi: np.ndarray,
     mask: SubcarrierMask,
@@ -295,21 +306,28 @@ def _csv_meta(capture, gender, hand, user_id) -> CaptureMeta:
     return CaptureMeta(int(capture), gender, hand, int(user_id))
 
 
+_NON_ASCII = "a field holds a non-ASCII byte"
+
+
 def read_csv(path) -> FeatureMatrix:
-    """Read a CSV written by write_csv.  A row of the wrong width, a row
-    holding "_" or a space (float("1_0") is 10.0), a feature that is not
-    a float, or metadata that CaptureMeta refuses (captures 1-5, user ids
-    1-20, GENDERS, HANDS) raises RaggedRows naming its line.  Each
-    distinct metadata tuple is checked once.
+    """Read a CSV written by write_csv.  A header or row holding a byte
+    outside ASCII, a row of the wrong width, a row holding "_" or a space
+    (float("1_0") is 10.0), a feature that is not a float, or metadata
+    that CaptureMeta refuses (captures 1-5, user ids 1-20, GENDERS,
+    HANDS) raises RaggedRows naming its line.  Each distinct metadata
+    tuple is checked once.
 
     Every row is parsed into one growing float64 buffer, which becomes
     the (n, d) table without a copy, so the table is allocated once: the
     peak is about 1.1x the table.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte outside ASCII decodes to a lone surrogate, refused with its line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline()
         if not header:
             raise RaggedRows(f"{path}: empty file, expected a header")
+        if not header.isascii():
+            raise RaggedRows(f"{path}:1: {_NON_ASCII}")
         names = header.rstrip("\n").split(",")
         if len(names) < 4 or tuple(names[-4:]) != META_COLUMNS:
             raise RaggedRows(f"{path}: header must end with {META_COLUMNS}")
@@ -323,6 +341,8 @@ def read_csv(path) -> FeatureMatrix:
                     f"{path}:{lineno}: {len(parts)} fields, expected {d + 4}"
                 )
             try:
+                if not line.isascii():
+                    raise ValueError(_NON_ASCII)
                 if "_" in line or " " in line:
                     raise ValueError("a field holds '_' or ' '")
                 feats.extend(map(float, parts[:d]))

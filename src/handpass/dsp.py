@@ -204,11 +204,9 @@ class FittedScaler:
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
         x = np.asarray(matrix, dtype=np.float64)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        if x.shape[1] != self.n_features:
+        if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatch(
-                f"matrix has {x.shape[1]} columns, scaler was fitted on {self.n_features}"
+                f"matrix of shape {x.shape}, scaler was fitted on {self.n_features} columns"
             )
         denom = self.b - self.a if self.kind == "minmax" else self.b
         out = x - self.a  # the one full-size block, divided in place
@@ -229,8 +227,8 @@ def fit_scaler(kind: str, matrix: np.ndarray) -> FittedScaler:
     if kind not in SCALER_KINDS:
         raise ValueError(f"unknown scaler kind {kind!r}")
     x = np.asarray(matrix, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"matrix of shape {x.shape} is not a 2-D block")
     if x.size == 0:
         raise EmptyMatrix("cannot fit a scaler on an empty matrix")
     # training refuses such rows with the same error; a robust quartile

@@ -1,5 +1,6 @@
-"""Exception types shared across the handpass package, and the one rule
-every layer applies to a count among its settings."""
+"""Exception types shared across the handpass package, and the rules
+every layer applies to a count among its settings and to a JSON
+document's header."""
 
 import numbers
 
@@ -14,6 +15,15 @@ def _check_count(name, value, least) -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} {value!r} is not an integer >= {least}")
     return int(value)
+
+
+def _check_header(doc, fmt, version, noun) -> None:
+    """Refuse, with ValueError, a document that is not an object whose
+    format is fmt and whose version is version."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError(f"not a {fmt} document")
+    if doc.get("version") != version:
+        raise ValueError(f"unsupported {noun} version {doc.get('version')!r}")
 
 
 # capture codec

@@ -36,6 +36,7 @@ from .errors import (
     WindowTooShort,
     ZeroSignal,
     _check_count,
+    _check_header,
 )
 from .learners import HyperParams, model_from_doc, model_to_doc, predict, train
 from .learners.persist import arrays_hook
@@ -113,17 +114,15 @@ def enroll(
         raise DegenerateLabels(
             f"enrollment needs at least {MIN_ENROLL_USERS} users, got {len(rows_by_user)}"
         )
-    for uid, rows in rows_by_user.items():
-        if np.asarray(rows).shape[0] < MIN_ENROLL_FRAMES:
+    blocks = {uid: np.asarray(rows, dtype=np.float64) for uid, rows in rows_by_user.items()}
+    for uid, rows in blocks.items():
+        if rows.shape[0] < MIN_ENROLL_FRAMES:
             raise TooFewFrames(
-                f"user {uid} has {np.asarray(rows).shape[0]} frames,"
-                f" fewer than {MIN_ENROLL_FRAMES}"
+                f"user {uid} has {rows.shape[0]} frames, fewer than {MIN_ENROLL_FRAMES}"
             )
-    users = sorted(rows_by_user)
-    X = np.vstack([np.asarray(rows_by_user[u], dtype=np.float64) for u in users])
-    y = np.concatenate(
-        [np.full(np.asarray(rows_by_user[u]).shape[0], u, dtype=np.int64) for u in users]
-    )
+    users = sorted(blocks)
+    X = np.vstack([blocks[u] for u in users])
+    y = np.repeat(np.asarray(users, dtype=np.int64), [len(blocks[u]) for u in users])
     scaler = fit_scaler(scaler_kind, X)
     model = train(kind, scaler.transform(X), y, hyper, seed)
     return EnrollmentStore(
@@ -154,7 +153,8 @@ def authenticate(
     vote-share threshold and be enrolled with the required permission.
 
     A threshold that is NaN, infinite or negative, or a window that is
-    not a finite positive length, raises BadPolicy: NaN compares false
+    not a finite positive length or whose frame count at the store's
+    rate is not finite, raises BadPolicy: NaN compares false
     against every share and would grant anything.  A finite threshold
     above 1 is kept; no share reaches it, so it denies every window.  A
     value that is not a number, a bool (JSON true or false) included,
@@ -167,7 +167,11 @@ def authenticate(
         raise BadPolicy(f"threshold {threshold!r} is not a finite number >= 0")
     if not (math.isfinite(window_seconds) and window_seconds > 0.0):
         raise BadPolicy(f"window_seconds {window_seconds!r} is not a finite number > 0")
-    need = math.ceil(window_seconds * store.packets_per_second)
+    frames = window_seconds * store.packets_per_second
+    if frames == math.inf:  # a float product that overflowed; ceil(inf) raises
+        raise BadPolicy(f"window_seconds {window_seconds!r} at {store.packets_per_second}"
+                        " pkt/s is not a finite frame count")
+    need = math.ceil(frames)
     if len(csi) < need:
         raise WindowTooShort(
             f"{len(csi)} frames span less than {window_seconds} s"
@@ -177,9 +181,7 @@ def authenticate(
     # each frame's bytes as one item, which sorts far faster than np.unique(axis=0)
     _, first = np.unique(flat.view((np.void, flat.shape[1] * flat.itemsize)),
                          return_index=True)
-    if len(first) < len(csi):
-        csi = csi[np.sort(first)]
-    X, _ = features(csi, _MASK, _SANITIZER, store.prune)
+    X, _ = features(csi[np.sort(first)], _MASK, _SANITIZER, store.prune)
     used = X.shape[0]
     if not used:
         raise ZeroSignal("every frame in the window was degenerate")
@@ -260,16 +262,11 @@ def load_store(path) -> EnrollmentStore:
     ValueError here rather than at the first request."""
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh, object_hook=arrays_hook)  # a forest's lists one tree at a time
-    if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
-        raise ValueError(f"not a {STORE_FORMAT} document")
-    if doc.get("version") != STORE_VERSION:
-        raise ValueError(f"unsupported store version {doc.get('version')!r}")
+    _check_header(doc, STORE_FORMAT, STORE_VERSION, "store")
     try:
         store = EnrollmentStore(
             model=model_from_doc(doc["model"]),
-            scaler=FittedScaler(
-                kind=doc["scaler"]["kind"], a=doc["scaler"]["a"], b=doc["scaler"]["b"]
-            ),
+            scaler=FittedScaler(**doc["scaler"]),
             # a list becomes a set; anything else is left for the store to refuse
             roster={int(u): set(perms) if type(perms) is list else perms
                     for u, perms in doc["roster"].items()},

@@ -45,6 +45,18 @@ def feature_importance(model) -> np.ndarray:
     )
 
 
+def subcarriers(names) -> list:
+    """The logical subcarrier index of each feature column name (amp_<k>
+    or phase_<k>); any other name raises ValueError."""
+    ks = []
+    for name in names:
+        m = _FEATURE_RE.match(name)
+        if m is None:
+            raise ValueError(f"feature name {name!r} does not map to a subcarrier")
+        ks.append(int(m.group(2)))
+    return ks
+
+
 def subcarrier_importance(importances, names) -> dict:
     """Summed (amplitude + phase) importance per logical subcarrier index,
     with names the feature columns (amp_<k>, phase_<k>) in order."""
@@ -54,11 +66,8 @@ def subcarrier_importance(importances, names) -> dict:
             f"{importances.shape[0]} importances for {len(names)} feature names"
         )
     per_k: dict = {}
-    for name, w in zip(names, importances):
-        m = _FEATURE_RE.match(name)
-        if m is None:
-            raise ValueError(f"feature name {name!r} does not map to a subcarrier")
-        per_k[int(m.group(2))] = per_k.get(int(m.group(2)), 0.0) + float(w)
+    for k, w in zip(subcarriers(names), importances):
+        per_k[k] = per_k.get(k, 0.0) + float(w)
     return per_k
 
 

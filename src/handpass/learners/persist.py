@@ -20,7 +20,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..errors import UnsupportedModel
+from ..errors import UnsupportedModel, _check_header
 from .base import MODEL_CLASSES
 from .forest import RandomForestModel
 from .tree import DecisionTreeModel
@@ -91,10 +91,7 @@ def _build(kind, classes: np.ndarray, params):
 def model_from_doc(doc: dict):
     """Rebuild a model; a document that breaks the invariants of its
     kind raises ValueError here rather than at the first predict."""
-    if doc.get("format") != FORMAT:
-        raise ValueError(f"not a {FORMAT} document")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
+    _check_header(doc, FORMAT, VERSION, "model")
     missing = {"kind", "classes", "params"} - set(doc)
     if missing:
         raise ValueError(f"model document lacks {sorted(missing)}")

@@ -100,9 +100,9 @@ def cross_validate(
     """Stratified k-fold CV; metrics are macro-averaged per fold, then
     averaged over folds.
 
-    scaler names an optional feature scaling fitted on the full matrix
-    up front; per_fold_scaler refits it on each fold's training rows
-    instead (no information from the held-out fold).  A k that is not an
+    scaler names an optional feature scaling, fitted for each fold on
+    the full matrix, or with per_fold_scaler on the fold's training rows
+    only (no information from the held-out fold).  A k that is not an
     integer >= 2 raises ValueError.
     """
     _check_count("k", k, 2)
@@ -110,18 +110,15 @@ def cross_validate(
     y = np.asarray(labels)
     classes = np.unique(y)
     folds = stratified_folds(y, k, seed)
-    if scaler is not None and not per_fold_scaler:
-        X = fit_scaler(scaler, X).transform(X)
 
     report = CvReport(confusion=np.zeros((len(classes), len(classes)), dtype=np.int64))
     for f in range(k):
         test = folds == f
         Xtr, ytr = X[~test], y[~test]
         Xte, yte = X[test], y[test]
-        if scaler is not None and per_fold_scaler:
-            fitted = fit_scaler(scaler, Xtr)
-            Xtr = fitted.transform(Xtr)
-            Xte = fitted.transform(Xte)
+        if scaler is not None:
+            fitted = fit_scaler(scaler, Xtr if per_fold_scaler else X)
+            Xtr, Xte = fitted.transform(Xtr), fitted.transform(Xte)
         start = time.perf_counter()
         model = train(kind, Xtr, ytr, hyper, seed)
         trained = time.perf_counter()

@@ -23,7 +23,7 @@ import numpy as np
 from .codec import CSI_MAGIC, HEADER_DTYPE, CaptureFile, write_capture
 from .dataset import _MAX_CAPTURE, _MAX_USER_ID, CaptureMeta
 from .dsp import fft_shift
-from .errors import _check_count
+from .errors import _check_count, _check_header
 
 MANIFEST_FORMAT = "handpass-synth-manifest"
 MANIFEST_VERSION = 1
@@ -207,13 +207,12 @@ def load_manifest(path) -> dict:
     """The manifest at path.  Refuse, with ValueError, a document that is
     not a manifest of this format and version, whose config SynthConfig
     refuses, or with a capture entry that lacks a string path or a
-    CaptureMeta field, or holds a value that CaptureMeta refuses."""
+    CaptureMeta field, whose path leaves the manifest's directory (by
+    name: symlinks are not resolved), or that holds a value CaptureMeta
+    refuses."""
     with open(path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
-    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"not a {MANIFEST_FORMAT} document")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"unsupported manifest version {manifest.get('version')!r}")
+    _check_header(manifest, MANIFEST_FORMAT, MANIFEST_VERSION, "manifest")
     config = manifest.get("config")
     if not isinstance(config, dict):
         raise ValueError("config is not an object")
@@ -230,8 +229,11 @@ def load_manifest(path) -> dict:
         missing = [key for key in ("path", *_META_FIELDS) if key not in entry]
         if missing:
             raise ValueError(f"capture {i} lacks {missing}")
-        if not isinstance(entry["path"], str):
-            raise ValueError(f"capture {i}: path {entry['path']!r} is not a string")
+        rel = entry["path"]
+        if not isinstance(rel, str):
+            raise ValueError(f"capture {i}: path {rel!r} is not a string")
+        if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
+            raise ValueError(f"capture {i}: path {rel!r} is not inside the manifest's directory")
         try:
             CaptureMeta(**{name: entry[name] for name in _META_FIELDS})
         except (TypeError, ValueError) as exc:

@@ -363,6 +363,20 @@ class TestEnrollAuth:
         assert "Grant" not in out
         assert err.startswith("error: threshold nan")
 
+    def test_auth_window_of_no_finite_frame_count_is_an_error(self, enroll_env, capsys,
+                                                              monkeypatch):
+        corpus, csv, store = enroll_env
+        monkeypatch.setenv("HANDPASS_STORE", store)
+        if not os.path.exists(store):
+            assert main(["enroll", "--data", csv, "--rate", "20",
+                         "--trees", "15", "--seed", "2"]) == 0
+            capsys.readouterr()
+        probe = os.path.join(corpus, "user_02", "Right", "capture_1.pcap")
+        code, out, err = run(capsys, "auth", "--capture", probe, "--window", "1e308")
+        assert code == 1
+        assert "Grant" not in out
+        assert err.startswith("error: window_seconds 1e+308 ")
+
     def test_verbose_logs_fit_save_and_store_bytes(self, enroll_env, capsys, caplog, tmp_path):
         caplog.set_level(logging.INFO, logger="handpass")
         _, csv, _ = enroll_env
@@ -577,6 +591,19 @@ class TestUnparsableCsv:
         assert err.startswith(f"error: {bad}:3: ") and f"'{cell}'" in err
         assert not (tmp_path / "store.json").exists()
 
+    @pytest.mark.parametrize("command", ["crossval", "select", "enroll"])
+    def test_non_ascii_byte(self, d1_csv, capsys, tmp_path, command):
+        data = bytearray(open(d1_csv, "rb").read())
+        third = data.index(b"\n", data.index(b"\n") + 1) + 1
+        data[third + 5] = 0xFF
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(bytes(data))
+        extra = ["--store", str(tmp_path / "store.json")] if command == "enroll" else []
+        code, _, err = run(capsys, command, "--data", str(bad), *extra)
+        assert code == 1
+        assert err == f"error: {bad}:3: a field holds a non-ASCII byte\n"
+        assert not (tmp_path / "store.json").exists()
+
 
 class TestRefusedEnroll:
     """A store that enroll builds but the store refuses is a domain error
@@ -607,6 +634,35 @@ class TestRefusedEnroll:
         assert code == 1
         assert err.startswith("error: ") and "feature layout" in err
         assert "enrolled" not in out and not os.path.exists(store)
+
+    @pytest.mark.parametrize("columns", ["swapped", "renamed"])
+    def test_columns_of_no_layout_refused_before_any_fit(self, enroll_env, capsys, tmp_path,
+                                                         monkeypatch, columns):
+        # the swapped CSV enrolled, and auth then granted users 1 and 3 as user 2
+        _, csv, _ = enroll_env
+        data = rewrite_columns(csv, tmp_path, columns)
+        monkeypatch.setattr(cli.gk, "train", lambda *a, **kw: pytest.fail("a model was fitted"))
+        store = str(tmp_path / "store.json")
+        code, out, err = self.enroll(capsys, data, store, "--rate", "20")
+        assert code == 1
+        assert err.startswith("error: cannot enroll: ") and "feature layout" in err
+        assert "enrolled" not in out and not os.path.exists(store)
+
+
+def rewrite_columns(csv, tmp_path, columns):
+    """A copy of the slice CSV with its phase block first, named with it
+    ("swapped"), or with its feature columns named f_0, f_1, ... ("renamed")."""
+    m = read_csv(csv)
+    features, names = m.features, m.feature_names
+    if columns == "swapped":
+        w = len(names) // 2
+        features, names = np.hstack([features[:, w:], features[:, :w]]), names[w:] + names[:w]
+    else:
+        names = tuple(f"f_{i}" for i in range(len(names)))
+    path = str(tmp_path / f"{columns}.csv")
+    write_csv(FeatureMatrix(features=features, feature_names=names, capture=m.capture,
+                            gender=m.gender, hand=m.hand, user_id=m.user_id), path)
+    return path
 
 
 def _drop(index, key):
@@ -659,6 +715,9 @@ class TestMalformedManifest:
         (_put(0, "user_id", True), "capture 0: user_id True is not an integer >= 1"),
         (_put(1, "capture_number", True), "capture 1: capture_number True is not an integer >= 1"),
         (_put(1, "capture_number", 1.0), "capture 1: capture_number 1.0 is not an integer >= 1"),
+    ] + [
+        (_put(0, "path", path), f"capture 0: path {path!r} is not inside the manifest's directory")
+        for path in ("/etc/hostname", "../x.pcap", "user_01/../../x.pcap")
     ])
     def test_refused(self, clean_corpus, capsys, tmp_path, damage, want):
         with open(os.path.join(clean_corpus, synth.MANIFEST_NAME)) as fh:
@@ -673,6 +732,18 @@ class TestMalformedManifest:
         assert code == 1
         assert err == f"error: {manifest}: {want}\n"
         assert "rows x" not in out and not out_csv.exists()
+
+    def test_path_through_a_parent_inside_the_corpus_accepted(self, clean_corpus, capsys,
+                                                              tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(clean_corpus, corpus)
+        manifest = corpus / synth.MANIFEST_NAME
+        doc = json.loads(manifest.read_text())
+        doc["captures"][0]["path"] = "user_01/../user_01/Right/capture_1.pcap"
+        manifest.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "dataset", "--in", str(corpus), "--slice", "D1",
+                           "--out", str(tmp_path / "D1.csv"))
+        assert code == 0 and "slice D1: 60 rows" in out
 
 
 class TestServePort:
@@ -727,6 +798,16 @@ class TestSelectTop:
         code, out, err = run(capsys, "select", "--data", d1_csv, "--top", top)
         assert code == 1
         assert err == f"error: --top: top_m {top} is not an integer >= 1\n"
+        assert "subcarriers by" not in out
+
+    def test_unmapped_feature_name_is_refused_before_any_fit(self, d1_csv, capsys, tmp_path,
+                                                             monkeypatch):
+        # this trained the tree, then ended in a ValueError traceback
+        renamed = rewrite_columns(d1_csv, tmp_path, "renamed")
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("a model was fitted"))
+        code, out, err = run(capsys, "select", "--data", renamed, "--top", "3")
+        assert code == 1
+        assert err == f"error: {renamed}: feature name 'f_0' does not map to a subcarrier\n"
         assert "subcarriers by" not in out
 
 

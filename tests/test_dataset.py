@@ -13,6 +13,7 @@ from handpass.dataset import (
     FeatureMatrix,
     FeatureRow,
     build_rows,
+    feature_layout,
     feature_names,
     read_csv,
     slice_dataset,
@@ -78,6 +79,20 @@ class TestFeatureNames:
         names = feature_names(prune=True)
         for bad in (0, 1, -1, 11, -39, 127, -128):
             assert f"amp_{bad}" not in names
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_layout_of_a_header(self, prune):
+        assert feature_layout(feature_names(prune)) is prune
+
+    @pytest.mark.parametrize("names", [
+        feature_names(True)[234:] + feature_names(True)[:234],  # phase block first
+        tuple(f"f_{i}" for i in range(468)),
+        feature_names(True)[:100],
+        (),
+    ], ids=["swapped", "renamed", "narrow", "none"])
+    def test_other_headers_refused(self, names):
+        with pytest.raises(ValueError, match="feature layout"):
+            feature_layout(names)
 
 
 class TestBuildRows:
@@ -326,6 +341,31 @@ class TestCsv:
         with pytest.raises(RaggedRows) as exc:
             read_csv(path)
         assert str(exc.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("lineno", [1, 4], ids=["header", "data-line"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, lineno):
+        # the byte used to escape as UnicodeDecodeError, naming no line
+        m = self.make_matrix(width=3)
+        path = tmp_path / "rows.csv"
+        write_csv(m, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(RaggedRows) as exc:
+            read_csv(path)
+        assert str(exc.value) == f"{path}:{lineno}: a field holds a non-ASCII byte"
+
+    def test_crlf_file_reads(self, tmp_path):
+        # text mode folds CRLF into LF, so no '\r' is left in the hand or user id
+        m = self.make_matrix()
+        path = tmp_path / "rows.csv"
+        write_csv(m, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        back = read_csv(path)
+        assert back.feature_names == m.feature_names
+        assert np.array_equal(back.features, m.features)
+        assert list(back.hand) == list(m.hand)
+        assert np.array_equal(back.user_id, m.user_id)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

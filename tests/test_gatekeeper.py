@@ -503,7 +503,8 @@ class TestPolicy:
         with pytest.raises(BadPolicy):
             authenticate(store, window, threshold=threshold)
 
-    @pytest.mark.parametrize("window_seconds", [float("nan"), float("inf"), 0.0, -1.0])
+    # 1e308 s at 20 pkt/s is inf frames, and ceil(inf) raised OverflowError
+    @pytest.mark.parametrize("window_seconds", [float("nan"), float("inf"), 0.0, -1.0, 1e308])
     def test_out_of_policy_window_rejected(self, auth_env, window_seconds):
         store, probes, _ = auth_env
         with pytest.raises(BadPolicy):
@@ -670,15 +671,16 @@ class TestServer:
         ).encode() + b"\n"
         assert b'"threshold": NaN' in nan_line  # the bare JSON literal json.loads accepts
         with running(store) as addr:
-            nan, negative, no_window, text, default = ask(
+            nan, negative, no_window, huge, text, default = ask(
                 addr,
                 nan_line,
                 {"op": "authenticate", "frames": mixed, "threshold": -0.5},
                 {"op": "authenticate", "frames": mixed, "window_seconds": 0},
+                {"op": "authenticate", "frames": mixed, "window_seconds": 1e308},
                 {"op": "authenticate", "frames": mixed, "threshold": "0.5"},
                 {"op": "authenticate", "frames": mixed},
             )
-        for reply in (nan, negative, no_window):
+        for reply in (nan, negative, no_window, huge):
             assert reply["ok"] is False
             assert reply["error"]["code"] == "bad-policy"
         assert text["error"]["code"] == "bad-request"

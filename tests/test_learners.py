@@ -583,6 +583,28 @@ def test_cross_validate_fold_predictions_golden(golden_d1, monkeypatch):
     assert digest == CV_PREDICTIONS_DIGEST
 
 
+# sha256 of the fold accuracies, fold F1s and confusion matrices below,
+# recorded when the whole-matrix scaler was fitted once before the folds
+WHOLE_MATRIX_CV_DIGEST = "d653e0e353398fca40482188f50af081fc529d4b2020f6577c5e4c474dd3de1f"
+
+
+def test_cross_validate_whole_matrix_scaling_golden():
+    """Characterization: every kind under every scaler fitted on the
+    whole matrix, on columns of very different scales."""
+    rng = np.random.default_rng(53)
+    centers = rng.normal(size=(4, 30))
+    X = np.vstack([centers[c] + 1.5 * rng.normal(size=(60, 30)) for c in range(4)])
+    X = X * 10.0 ** rng.uniform(-2, 2, size=30) + rng.normal(size=30) * 50
+    y = np.repeat(np.arange(4), 60)
+    reports = []
+    for kind in ("rf", "dt", "knn", "nb", "svm"):
+        for scaler in ("minmax", "zscore", "robust"):
+            rep = cross_validate(kind, X, y, k=5, seed=7, scaler=scaler)
+            reports.append([rep.fold_accuracy, rep.fold_f1, rep.confusion.tolist()])
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == WHOLE_MATRIX_CV_DIGEST
+
+
 class TestRandomForest:
     def test_single_tree_no_bootstrap_equals_tree(self):
         rng = np.random.default_rng(24)
