@@ -23,7 +23,7 @@ from .dsp import (
     sanitize_phase,
     to_cfr,
 )
-from .errors import InsufficientRows, RaggedRows, ZeroSignal, _check_count
+from .errors import InsufficientRows, RaggedRows, ZeroSignal, _check_count, _check_member
 
 GENDERS = ("M", "F")
 HANDS = ("Right", "Left")
@@ -48,13 +48,6 @@ SLICE_DEFS = {
 # sanitizer, and a store document records them.
 _MASK = SubcarrierMask()
 _SANITIZER = SanitizerConfig()
-
-
-def _check_member(name, value, allowed):
-    """value; refuse, with ValueError, a value that is not in allowed."""
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed}: {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -244,9 +237,7 @@ def slice_dataset(
     InsufficientRows when a user is missing a required capture or has
     too few rows in it.
     """
-    if slice_name not in SLICE_DEFS:
-        raise ValueError(f"unknown slice {slice_name!r}; expected one of {sorted(SLICE_DEFS)}")
-    seconds, captures = SLICE_DEFS[slice_name]
+    seconds, captures = SLICE_DEFS[_check_member("slice", slice_name, tuple(SLICE_DEFS))]
     need = math.ceil(seconds * _check_count("packets_per_second", packets_per_second, 1))
 
     pool = [r for r in rows if not right_hand_only or r.meta.hand == "Right"]

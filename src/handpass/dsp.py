@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .codec import N_SUBCARRIERS
-from .errors import DimensionMismatch, EmptyMatrix, NonFiniteFeature, OddLength
+from .errors import (DimensionMismatch, EmptyMatrix, NonFiniteFeature, OddLength,
+                     _check_amount, _check_member)
 
 LOGICAL_INDICES = np.arange(-128, 128)
 
@@ -61,8 +62,7 @@ class SanitizerConfig:
     lam: float = 0.1
 
     def __post_init__(self):
-        if type(self.lam) not in (int, float) or not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam {self.lam!r} is not a finite number >= 0")
+        object.__setattr__(self, "lam", _check_amount("lam", self.lam))
 
 
 def fft_shift(values) -> np.ndarray:
@@ -182,7 +182,7 @@ class FittedScaler:
     (median, iqr) for robust.  Features whose denominator is zero map
     to 0.  ``a`` and ``b`` are coerced to float64 (a JSON null becomes
     NaN).  A kind not in SCALER_KINDS, or a bound that is not one flat
-    row of finite numbers, raises ValueError.
+    row of numbers that finite floats hold, raises ValueError.
     """
 
     kind: str
@@ -190,13 +190,15 @@ class FittedScaler:
     b: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in SCALER_KINDS:
-            raise ValueError(f"unknown scaler kind {self.kind!r}")
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        for name, bound in (("a", self.a), ("b", self.b)):
+        _check_member("scaler kind", self.kind, SCALER_KINDS)
+        for name in ("a", "b"):
+            try:
+                bound = np.asarray(getattr(self, name), dtype=np.float64)
+            except OverflowError:  # an integer that no float holds
+                bound = np.array(np.inf)
             if bound.ndim != 1 or not np.isfinite(bound).all():
                 raise ValueError(f"scaler bound {name} is not a flat row of finite numbers")
+            setattr(self, name, bound)
 
     @property
     def n_features(self) -> int:
@@ -224,8 +226,7 @@ def fit_scaler(kind: str, matrix: np.ndarray) -> FittedScaler:
     zscore uses the population standard deviation; robust uses
     linear-interpolation quartiles.
     """
-    if kind not in SCALER_KINDS:
-        raise ValueError(f"unknown scaler kind {kind!r}")
+    _check_member("scaler kind", kind, SCALER_KINDS)
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatch(f"matrix of shape {x.shape} is not a 2-D block")

@@ -1,7 +1,8 @@
 """Exception types shared across the handpass package, and the rules
-every layer applies to a count among its settings and to a JSON
-document's header."""
+every layer applies to an outside value: a count, an amount, a member
+of a fixed set and a JSON document's header."""
 
+import math
 import numbers
 
 
@@ -15,6 +16,28 @@ def _check_count(name, value, least) -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} {value!r} is not an integer >= {least}")
     return int(value)
+
+
+def _check_amount(name, value, least=0.0, above=False) -> float:
+    """value as a float; refuse, with ValueError, a value that is not a real
+    number (bools are not), not finite (an integer that no float holds is
+    not) or below least (at or below it when above)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        amount = float(value) if real else math.nan
+    except OverflowError:
+        amount = math.inf
+    if not (math.isfinite(amount) and (amount > least if above else amount >= least)):
+        raise ValueError(f"{name} {value!r} is not a finite number"
+                         f" {'>' if above else '>='} {least:g}")
+    return amount
+
+
+def _check_member(name, value, allowed):
+    """value; refuse, with ValueError, a value that is not in allowed."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}: {value!r}")
+    return value
 
 
 def _check_header(doc, fmt, version, noun) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 import socketserver
 import threading
@@ -35,6 +36,7 @@ from .errors import (
     TooFewFrames,
     WindowTooShort,
     ZeroSignal,
+    _check_amount,
     _check_count,
     _check_header,
 )
@@ -70,6 +72,7 @@ class EnrollmentStore:
 
     def __post_init__(self):
         self.packets_per_second = _check_count("packets_per_second", self.packets_per_second, 1)
+        _check_amount("packets_per_second", self.packets_per_second, 1)  # one a float holds
         for perms in self.roster.values():
             if not isinstance(perms, (set, frozenset)) or set(map(type, perms)) - {str}:
                 raise ValueError(f"roster permissions {perms!r} are not a set of strings")
@@ -152,22 +155,23 @@ def authenticate(
     dropped.  The modal prediction over the rest must reach the
     vote-share threshold and be enrolled with the required permission.
 
-    A threshold that is NaN, infinite or negative, or a window that is
-    not a finite positive length or whose frame count at the store's
-    rate is not finite, raises BadPolicy: NaN compares false
-    against every share and would grant anything.  A finite threshold
-    above 1 is kept; no share reaches it, so it denies every window.  A
-    value that is not a number, a bool (JSON true or false) included,
-    raises TypeError, which the service answers with bad-request.
+    A threshold or window that no finite float holds, a threshold below
+    0, a window <= 0 or one whose frame count at the store's rate is not
+    finite raises BadPolicy: NaN compares false against every share and
+    would grant anything.  A finite threshold above 1 is kept; no share
+    reaches it, so it denies every window.  A value that is not a
+    number, a bool (JSON true or false) included, raises TypeError,
+    which the service answers with bad-request.
     """
     for name, value in (("threshold", threshold), ("window_seconds", window_seconds)):
-        if isinstance(value, (bool, np.bool_)):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise TypeError(f"{name} {value!r} is not a number")
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise BadPolicy(f"threshold {threshold!r} is not a finite number >= 0")
-    if not (math.isfinite(window_seconds) and window_seconds > 0.0):
-        raise BadPolicy(f"window_seconds {window_seconds!r} is not a finite number > 0")
-    frames = window_seconds * store.packets_per_second
+    try:
+        _check_amount("threshold", threshold)
+        frames = _check_amount("window_seconds", window_seconds, above=True) \
+            * store.packets_per_second
+    except ValueError as exc:
+        raise BadPolicy(str(exc)) from None
     if frames == math.inf:  # a float product that overflowed; ceil(inf) raises
         raise BadPolicy(f"window_seconds {window_seconds!r} at {store.packets_per_second}"
                         " pkt/s is not a finite frame count")

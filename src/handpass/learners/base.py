@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import DegenerateLabels, NonFiniteFeature, _check_count
+from ..errors import DegenerateLabels, NonFiniteFeature, _check_count, _check_member
 from .bayes import GaussianNbModel, fit_gnb
 from .forest import RandomForestModel, grow_forest
 from .neighbors import KnnModel, fit_knn
@@ -30,11 +30,10 @@ MODEL_CLASSES = {cls.kind: cls for cls in (
 class HyperParams:
     """Knobs for all five model kinds; irrelevant fields are ignored.
 
-    max_features applies per split: None = all, "sqrt" = round(sqrt(d)),
-    or an explicit count.  Construction refuses, with ValueError, values
-    that fit no model: n_trees, k_neighbors, svm_epochs or a max_features
-    count below 1, a max_depth below 0 and a bootstrap that is not a
-    bool.  A count above the feature width is refused at fit time.
+    max_features applies per split: None = all, "sqrt" = round(sqrt(d)).
+    Construction refuses, with ValueError, values that fit no model:
+    n_trees, k_neighbors or svm_epochs below 1, a max_depth below 0, a
+    max_features that is neither and a bootstrap that is not a bool.
     """
 
     n_trees: int = 100
@@ -49,8 +48,7 @@ class HyperParams:
             _check_count(name, getattr(self, name), 1)
         if self.max_depth is not None:
             _check_count("max_depth", self.max_depth, 0)
-        if self.max_features not in (None, "sqrt"):
-            _check_count("max_features", self.max_features, 1)
+        _check_member("max_features", self.max_features, (None, "sqrt"))
         if type(self.bootstrap) is not bool:
             raise ValueError(f"bootstrap {self.bootstrap!r} is not true or false")
 

@@ -20,7 +20,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..errors import UnsupportedModel, _check_header
+from ..errors import UnsupportedModel, _check_header, _check_member
 from .base import MODEL_CLASSES
 from .forest import RandomForestModel
 from .tree import DecisionTreeModel
@@ -74,9 +74,7 @@ def model_to_doc(model) -> dict:
 
 
 def _build(kind, classes: np.ndarray, params):
-    cls = MODEL_CLASSES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown model kind {kind!r} in document")
+    cls = MODEL_CLASSES[_check_member("model kind", kind, tuple(MODEL_CLASSES))]
     names = _param_names(cls)
     if not isinstance(params, dict) or set(params) != set(names):
         raise ValueError(f"{kind} params must have exactly the keys {names}")

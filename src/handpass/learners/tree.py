@@ -40,14 +40,7 @@ def gini(labels) -> float:
 
 
 def resolve_max_features(spec, n_features: int) -> int:
-    if spec is None:
-        return n_features
-    if spec == "sqrt":
-        return max(1, int(round(np.sqrt(n_features))))
-    m = int(spec)
-    if not 1 <= m <= n_features:
-        raise ValueError(f"max_features {spec!r} out of range for {n_features} features")
-    return m
+    return n_features if spec is None else max(1, int(round(np.sqrt(n_features))))
 
 
 class SplitData:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -23,7 +22,7 @@ import numpy as np
 from .codec import CSI_MAGIC, HEADER_DTYPE, CaptureFile, write_capture
 from .dataset import _MAX_CAPTURE, _MAX_USER_ID, CaptureMeta
 from .dsp import fft_shift
-from .errors import _check_count, _check_header
+from .errors import _check_amount, _check_count, _check_header
 
 MANIFEST_FORMAT = "handpass-synth-manifest"
 MANIFEST_VERSION = 1
@@ -71,11 +70,7 @@ class SynthConfig:
                                  f" {what} of the dataset layout")
         for name in ("noise_sigma", "ramp_range", "offset_range",
                      "gain_jitter", "quant_scale"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) \
-                    or not 0 <= value < math.inf:
-                raise ValueError(f"{name} {value!r} is not a finite number >= 0")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _check_amount(name, getattr(self, name)))
         for name in ("ramp_range", "offset_range", "gain_jitter"):  # uniform(-r, r)
             if not math.isfinite(2 * getattr(self, name)):
                 raise ValueError(f"{name} {getattr(self, name)!r} is too large:"

@@ -22,6 +22,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def module_env():
+    """The environment for running ``python -m handpass`` from this checkout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def config_line(stdout):
     first = stdout.splitlines()[0]
     assert first.startswith("config: ")
@@ -472,6 +480,33 @@ class TestRefusedStore:
         assert err.startswith(f"error: store {store}: ")
         assert "serving" not in out and "Grant" not in out
 
+    # In a child process: a store that wrongly loads would leave `serve`
+    # running, and a traceback shows only on stderr
+    @pytest.mark.parametrize("command", ["auth", "serve"])
+    @pytest.mark.parametrize("damage", ["scaler-a-no-float", "rate-no-float"])
+    def test_number_no_float_holds_is_an_error(self, enroll_env, tmp_path, command, damage):
+        corpus, csv, _ = enroll_env
+        store = str(tmp_path / "store.json")
+        assert main(["enroll", "--data", csv, "--store", store, "--rate", "20",
+                     "--trees", "3", "--seed", "2"]) == 0
+        with open(store) as fh:
+            doc = json.load(fh)
+        if damage == "scaler-a-no-float":
+            doc["scaler"]["a"][0] = 10**400
+        else:
+            doc["packets_per_second"] = 10**400
+        with open(store, "w") as fh:
+            json.dump(doc, fh)
+        probe = os.path.join(corpus, "user_02", "Right", "capture_1.pcap")
+        rest = ["--capture", probe] if command == "auth" else ["--port", "0"]
+        proc = subprocess.run([sys.executable, "-m", "handpass", command, "--store", store,
+                               *rest], env=module_env(), capture_output=True, text=True,
+                              timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: store {store}: ")
+        assert "Traceback" not in proc.stderr
+        assert "serving" not in proc.stdout and "Grant" not in proc.stdout
+
 
 class TestInconsistentStore:
     """A store whose own fields disagree is refused on load too, with the
@@ -718,6 +753,10 @@ class TestMalformedManifest:
     ] + [
         (_put(0, "path", path), f"capture 0: path {path!r} is not inside the manifest's directory")
         for path in ("/etc/hostname", "../x.pcap", "user_01/../../x.pcap")
+    ] + [
+        pytest.param(_top("config", {"noise_sigma": 10**400}),
+                     f"config: noise_sigma {10**400} is not a finite number >= 0",
+                     id="damage-config: noise_sigma 10**400 is not a finite number >= 0"),
     ])
     def test_refused(self, clean_corpus, capsys, tmp_path, damage, want):
         with open(os.path.join(clean_corpus, synth.MANIFEST_NAME)) as fh:
@@ -773,11 +812,8 @@ class TestServeOutput:
         store = str(tmp_path / "store.json")
         assert main(["enroll", "--data", csv, "--store", store, "--rate", "20",
                      "--trees", "3", "--seed", "2"]) == 0
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.Popen([sys.executable, "-m", "handpass", "serve", "--store", store,
-                                 "--port", "0"], env=env, stdout=subprocess.PIPE,
+                                 "--port", "0"], env=module_env(), stdout=subprocess.PIPE,
                                 stderr=subprocess.DEVNULL, text=True)
         try:
             ready, _, _ = select.select([proc.stdout], [], [], 10)

@@ -191,6 +191,10 @@ class TestSanitizePhase:
         with pytest.raises(ValueError):
             SanitizerConfig(lam=-0.1)
 
+    def test_lambda_no_float_holds_rejected(self):
+        with pytest.raises(ValueError, match=r"^lam 10+ is not a finite number >= 0$"):
+            SanitizerConfig(lam=10**400)
+
 
 def oracle_row(csi, lam=0.1):
     """Pruned feature row of one frame from hypot, arctan2, unwrap and a

@@ -362,6 +362,9 @@ STORE_CORRUPTIONS = {
     "rate-string": lambda d: d.update(packets_per_second="20"),
     "rate-float": lambda d: d.update(packets_per_second=2.5),
     "rate-true": lambda d: d.update(packets_per_second=True),
+    # integers that no float holds
+    "scaler-a-no-float": lambda d: d["scaler"]["a"].__setitem__(0, 10**400),
+    "rate-no-float": lambda d: d.update(packets_per_second=10**400),
     "prune-yes": lambda d: d.update(prune="yes"),
     "roster-string": lambda d: d["roster"].update({"1": "enter"}),
     # refused by those checks as well
@@ -496,15 +499,19 @@ class TestAuditLog:
 
 
 class TestPolicy:
-    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), -0.1])
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), -0.1,
+                                           pytest.param(10**400, id="int-1e400")])
     def test_out_of_policy_threshold_rejected(self, auth_env, threshold):
         store, probes, _ = auth_env
         window = np.concatenate([probes[1][:10], probes[2][:10]])  # denied at the default threshold
         with pytest.raises(BadPolicy):
             authenticate(store, window, threshold=threshold)
 
-    # 1e308 s at 20 pkt/s is inf frames, and ceil(inf) raised OverflowError
-    @pytest.mark.parametrize("window_seconds", [float("nan"), float("inf"), 0.0, -1.0, 1e308])
+    # 1e308 s at 20 pkt/s is inf frames, and ceil(inf) raised OverflowError; an
+    # integer that no float holds raised one, and 10**307 named a 309-digit count
+    @pytest.mark.parametrize("window_seconds", [float("nan"), float("inf"), 0.0, -1.0, 1e308,
+                                                pytest.param(10**400, id="int-1e400"),
+                                                pytest.param(10**307, id="int-1e307")])
     def test_out_of_policy_window_rejected(self, auth_env, window_seconds):
         store, probes, _ = auth_env
         with pytest.raises(BadPolicy):
@@ -671,16 +678,17 @@ class TestServer:
         ).encode() + b"\n"
         assert b'"threshold": NaN' in nan_line  # the bare JSON literal json.loads accepts
         with running(store) as addr:
-            nan, negative, no_window, huge, text, default = ask(
+            nan, negative, no_window, huge, digits, text, default = ask(
                 addr,
                 nan_line,
                 {"op": "authenticate", "frames": mixed, "threshold": -0.5},
                 {"op": "authenticate", "frames": mixed, "window_seconds": 0},
                 {"op": "authenticate", "frames": mixed, "window_seconds": 1e308},
+                {"op": "authenticate", "frames": mixed, "threshold": 10**400},
                 {"op": "authenticate", "frames": mixed, "threshold": "0.5"},
                 {"op": "authenticate", "frames": mixed},
             )
-        for reply in (nan, negative, no_window, huge):
+        for reply in (nan, negative, no_window, huge, digits):
             assert reply["ok"] is False
             assert reply["error"]["code"] == "bad-policy"
         assert text["error"]["code"] == "bad-request"
@@ -692,7 +700,8 @@ class TestServer:
         mixed = np.concatenate([probes[1][:10], probes[2][:10]]).tolist()
         lines = [request_line(mixed, **{field: value})
                  for field, value in [("threshold", False), ("threshold", True),
-                                      ("window_seconds", True), ("window_seconds", False)]]
+                                      ("window_seconds", True), ("window_seconds", False),
+                                      ("threshold", "0.5"), ("window_seconds", None)]]
         if not fast:  # an escaped key: only json.loads reads it as "frames"
             lines = [line.replace(b'"frames"', b'"fr\\u0061mes"') for line in lines]
         assert all((gatekeeper._canonical_frames(line) is not None) is fast for line in lines)

@@ -180,15 +180,6 @@ class TestMaxFeatures:
         assert resolve_max_features("sqrt", 468) == 22
         assert resolve_max_features("sqrt", 4) == 2
 
-    def test_explicit(self):
-        assert resolve_max_features(7, 10) == 7
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            resolve_max_features(0, 10)
-        with pytest.raises(ValueError):
-            resolve_max_features(11, 10)
-
 
 class TestKinds:
     def test_aliases(self):
@@ -213,6 +204,7 @@ class TestHyperParamsChecks:
         ("max_features", 2.7), ("max_features", True), ("max_features", "log2"),
         ("max_features", 0), ("max_features", "3"),
         ("bootstrap", "no"), ("bootstrap", 1), ("bootstrap", None),
+        ("max_features", 1), ("max_features", np.int64(1)),
     ])
     def test_refused(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -223,8 +215,7 @@ class TestHyperParamsChecks:
     @pytest.mark.parametrize("field, value", [
         ("n_trees", 1), ("max_depth", 0), ("max_depth", None),
         ("k_neighbors", 1), ("svm_epochs", 1), ("n_trees", np.int64(1)),
-        ("max_features", 1), ("max_features", np.int64(1)), ("max_features", None),
-        ("max_features", "sqrt"), ("bootstrap", False),
+        ("max_features", None), ("max_features", "sqrt"), ("bootstrap", False),
     ])
     def test_smallest_accepted(self, field, value):
         assert getattr(HyperParams(**{field: value}), field) == value
@@ -685,7 +676,7 @@ class TestFusedForestMatchesPerTree:
         X, y = blobs(rng, n_per=30, n_classes=5, spread=5.0)
         stumps = train("rf", X, y, HyperParams(n_trees=5, max_depth=0), seed=2)
         assert all(t.n_nodes == 1 for t in stumps.trees)
-        deep = train("rf", X, y, HyperParams(n_trees=5, max_features=1), seed=3)
+        deep = train("rf", X, y, HyperParams(n_trees=5), seed=3)
         shallow = [train("dt", X, y, HyperParams(max_depth=d), seed=d) for d in (1, 2, 4)]
         mixed = RandomForestModel(
             classes=deep.classes, trees=stumps.trees[:2] + shallow + deep.trees
@@ -746,13 +737,13 @@ class TestLockstepForestMatchesPerTree:
     @pytest.mark.parametrize("changes", [
         {},
         {"bootstrap": False},
-        {"max_features": 5},
+        {"max_depth": 5},
         {"max_features": None},
         {"max_features": None, "bootstrap": False},
         {"max_depth": 0},
         {"max_depth": 1},
         {"max_depth": 3},
-        {"max_features": 1},
+        {"max_depth": 2, "max_features": None},
         {"max_depth": 2, "bootstrap": False},
         {"n_trees": 1},
         {"n_trees": 1, "bootstrap": False, "max_features": None},
@@ -771,7 +762,7 @@ class TestLockstepForestMatchesPerTree:
         rng = np.random.default_rng(71)
         X = np.round(2 * rng.normal(size=(120, 80))) / 2
         y = rng.integers(0, 6, size=120)
-        for hp in (HyperParams(n_trees=12), HyperParams(n_trees=3, max_features=70)):
+        for hp in (HyperParams(n_trees=12), HyperParams(n_trees=3, max_features=None)):
             forest = train("rf", X, y, hp, seed=8)
             assert tree_digest(forest.trees) == tree_digest(per_tree_forest(X, y, hp, 8))
 
@@ -1067,7 +1058,7 @@ class TestImportance:
         X = np.zeros((80, 6))
         X[:, 2] = y * 2.0 + 0.05 * rng.normal(size=80)
         X[:, 5] = -y + 0.05 * rng.normal(size=80)
-        model = train("rf", X, y, HyperParams(n_trees=20, max_features=2), seed=6)
+        model = train("rf", X, y, HyperParams(n_trees=20), seed=6)
         imp = feature_importance(model)
         assert abs(imp.sum() - 1.0) < 1e-9
         assert imp[[0, 1, 3, 4]].max() == 0.0  # constants cannot split

@@ -89,7 +89,8 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["noise_sigma", "ramp_range", "offset_range",
                                        "gain_jitter", "quant_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
-                                       np.float64("nan"), True, "0.5", None])
+                                       np.float64("nan"), True, "0.5", None,
+                                       pytest.param(10**400, id="int-1e400")])
     def test_amount_refused(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} .* is not a finite number >= 0$"):
             synth.SynthConfig(**{field: value})
