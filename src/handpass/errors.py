@@ -5,6 +5,8 @@ of a fixed set and a JSON document's header."""
 import math
 import numbers
 
+import numpy as np
+
 
 class HandpassError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -34,10 +36,14 @@ def _check_amount(name, value, least=0.0, above=False) -> float:
 
 
 def _check_member(name, value, allowed):
-    """value; refuse, with ValueError, a value that is not in allowed."""
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed}: {value!r}")
-    return value
+    """value; refuse, with ValueError, a value that is not in allowed.  A
+    value whose comparison with a member is not one truth value (a numpy
+    array compares elementwise) equals no member."""
+    for member in allowed:
+        equal = member == value
+        if isinstance(equal, (bool, np.bool_)) and equal:
+            return value
+    raise ValueError(f"{name} must be one of {allowed}: {value!r}")
 
 
 def _check_header(doc, fmt, version, noun) -> None:
@@ -122,7 +128,9 @@ class WindowTooShort(HandpassError):
 
 
 class BadPolicy(HandpassError):
-    """A vote threshold or window length no decision can be made under."""
+    """A vote threshold or window length passed to authenticate that no
+    decision can be made under.  The service never raises it: a request
+    carries no policy."""
 
 
 class BadRequest(HandpassError):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import re
 import socketserver
 import threading
@@ -155,17 +154,14 @@ def authenticate(
     dropped.  The modal prediction over the rest must reach the
     vote-share threshold and be enrolled with the required permission.
 
-    A threshold or window that no finite float holds, a threshold below
-    0, a window <= 0 or one whose frame count at the store's rate is not
-    finite raises BadPolicy: NaN compares false against every share and
-    would grant anything.  A finite threshold above 1 is kept; no share
-    reaches it, so it denies every window.  A value that is not a
-    number, a bool (JSON true or false) included, raises TypeError,
-    which the service answers with bad-request.
+    A threshold or window that is not a finite number (a bool, a string
+    or None is not one), a threshold below 0, a window <= 0 or one whose
+    frame count at the store's rate is not finite raises BadPolicy: NaN
+    compares false against every share and would grant anything.  A
+    finite threshold above 1 is kept; no share reaches it, so it denies
+    every window.  The service passes no window_seconds, threshold or
+    permission: it decides every window at their defaults.
     """
-    for name, value in (("threshold", threshold), ("window_seconds", window_seconds)):
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise TypeError(f"{name} {value!r} is not a number")
     try:
         _check_amount("threshold", threshold)
         frames = _check_amount("window_seconds", window_seconds, above=True) \
@@ -302,9 +298,9 @@ def _error_reply(exc: Exception) -> dict:
 class AuthServer(socketserver.ThreadingTCPServer):
     """Line-delimited JSON request/response service around authenticate.
 
-    Requests: {"op": "authenticate", "frames": [[re, im] x 256, ...]},
-    plus optional window_seconds / threshold / permission; a request that
-    names a capture file is refused.  Errors come back in-band as
+    Requests: {"op": "authenticate", "frames": [[re, im] x 256, ...]} and
+    no other key: every window is decided at authenticate's defaults, the
+    server's policy.  Errors come back in-band as
     {"ok": false, "error": {...}}; the connection survives, except after
     a line longer than MAX_REQUEST_BYTES, whose rest is never read.
     """
@@ -350,16 +346,12 @@ class _AuthHandler(socketserver.StreamRequestHandler):
         req, csi = _read_request(raw)
         if not isinstance(req, dict) or req.get("op") != "authenticate":
             raise BadRequest("expected op=authenticate")
-        if "capture" in req or "frames" not in req:
-            raise BadRequest("need inline frames; no capture file is read")
-        decision = authenticate(
-            self.server.store,
-            _inline_csi(req["frames"]) if csi is None else csi,
-            window_seconds=req.get("window_seconds", DEFAULT_WINDOW_SECONDS),
-            threshold=req.get("threshold", DEFAULT_THRESHOLD),
-            permission=req.get("permission", DEFAULT_PERMISSION),
-            log=self.server.log,
-        )
+        if req.keys() != {"op", "frames"}:
+            raise BadRequest("a request's keys must be exactly op and frames;"
+                             " the policy is the server's")
+        decision = authenticate(self.server.store,
+                                _inline_csi(req["frames"]) if csi is None else csi,
+                                log=self.server.log)
         return {"ok": True, "decision": asdict(decision)}
 
 

@@ -29,16 +29,6 @@ _FEATURE_CHUNK = 64
 _BATCH_CELLS = 32768
 
 
-def gini(labels) -> float:
-    """Gini impurity 1 - sum(p_c^2) of a label multiset."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("gini of an empty set is undefined")
-    _, counts = np.unique(labels, return_counts=True)
-    p = counts / labels.size
-    return float(1.0 - np.dot(p, p))
-
-
 def resolve_max_features(spec, n_features: int) -> int:
     return n_features if spec is None else max(1, int(round(np.sqrt(n_features))))
 

@@ -34,7 +34,6 @@ from handpass.dsp import (
 )
 from handpass.errors import HandpassError
 from handpass.learners import HyperParams, cross_validate, predict, predict_scores, train
-from handpass.learners.tree import gini
 from conftest import random_frame
 
 K = np.arange(-128, 128)

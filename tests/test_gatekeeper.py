@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import socket
 import threading
 import time
@@ -524,7 +525,8 @@ class TestPolicy:
         # false read as 0 granted a window denied at the default threshold
         store, probes, _ = auth_env
         window = np.concatenate([probes[1][:10], probes[2][:10]])
-        with pytest.raises(TypeError, match=f"^{field} {value!r} is not a number$"):
+        rule = f"^{field} {re.escape(repr(value))} is not a finite number >=? 0$"
+        with pytest.raises(BadPolicy, match=rule):
             authenticate(store, window, **{field: value})
 
     def test_rejected_before_logging(self, auth_env, tmp_path):
@@ -554,6 +556,9 @@ def running(store, log=None):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+KEY_RULE = "a request's keys must be exactly op and frames; the policy is the server's"
 
 
 def ask(addr, *payloads):
@@ -657,6 +662,7 @@ class TestServer:
         assert "integers" in reply["error"]["message"]
 
     def test_threshold_override_and_logging(self, auth_env, tmp_path):
+        # threshold 0.5 would grant this window; a request may not set it
         store, probes, _ = auth_env
         log = AuditLog(tmp_path / "server-audit.jsonl")
         mixed = np.concatenate([probes[1][:11], probes[2][:9]]).tolist()
@@ -667,8 +673,8 @@ class TestServer:
                 {"op": "authenticate", "frames": mixed, "threshold": 0.5},
             )
         assert strict["decision"]["decision"] == "Deny"
-        assert lenient["decision"]["decision"] == "Grant"
-        assert [r["decision"] for r in audit_records(log)] == ["Deny", "Grant"]
+        assert lenient == {"ok": False, "error": {"code": "bad-request", "message": KEY_RULE}}
+        assert [r["decision"] for r in audit_records(log)] == ["Deny"]
 
     def test_out_of_policy_values_reported_in_band(self, auth_env):
         store, probes, _ = auth_env
@@ -688,10 +694,8 @@ class TestServer:
                 {"op": "authenticate", "frames": mixed, "threshold": "0.5"},
                 {"op": "authenticate", "frames": mixed},
             )
-        for reply in (nan, negative, no_window, huge, digits):
-            assert reply["ok"] is False
-            assert reply["error"]["code"] == "bad-policy"
-        assert text["error"]["code"] == "bad-request"
+        for reply in (nan, negative, no_window, huge, digits, text):
+            assert reply == {"ok": False, "error": {"code": "bad-request", "message": KEY_RULE}}
         assert default["decision"]["decision"] == "Deny"  # connection survived
 
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "general"])
@@ -708,8 +712,7 @@ class TestServer:
         with running(store) as addr:
             *refused, default = ask(addr, *lines, {"op": "authenticate", "frames": mixed})
         for reply in refused:
-            assert reply["ok"] is False and reply["error"]["code"] == "bad-request"
-            assert reply["error"]["message"].endswith(" is not a number")
+            assert reply == {"ok": False, "error": {"code": "bad-request", "message": KEY_RULE}}
         assert default["decision"]["decision"] == "Deny"  # connection survived
 
 
@@ -1027,7 +1030,54 @@ class TestFastDecodeNamedCases:
     def test_named_lines_cover_each_outcome(self, one_frame_store):
         codes = {answer(one_frame_store, raw).get("error", {}).get("code", "ok")
                  for raw, _ in NAMED_LINES.values()}
-        assert codes == {"ok", "bad-request", "bad-policy", "window-too-short"}
+        assert codes == {"ok", "bad-request", "window-too-short"}
+
+
+_json_values = st.recursive(
+    st.one_of(st.integers(-2, 2), st.integers(), st.floats(), st.booleans(), st.none(),
+              st.text(max_size=4), st.sampled_from(["0", "0.5", "enter", "exit", "NaN"])),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6,
+)
+_extra_keys = st.sampled_from(["threshold", "window_seconds", "permission", "capture",
+                               "Frames", "op ", ""]) | st.text(max_size=6)
+
+
+@st.composite
+def _windows_with_keys(draw):
+    """A window of 15-25 frames of auth_env's probes, frames start to
+    start + n of user a before cut and of user b from it, as (a, b, start,
+    n, cut); and 0-3 other keys of any JSON value, with an order for all
+    the request's keys."""
+    n = draw(st.integers(15, 25))
+    window = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 130 - n)),
+              n, draw(st.integers(0, n)))
+    extra = draw(st.dictionaries(_extra_keys.filter(lambda k: k not in ("op", "frames")),
+                                 _json_values, max_size=3))
+    return window, extra, draw(st.permutations(["op", "frames", *extra]))
+
+
+class TestRequestKeys:
+    """A request holds op and frames and nothing else, so no request is
+    decided at any policy but the server's defaults."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_windows_with_keys())
+    def test_only_frames_are_decided_and_at_the_defaults(self, auth_env, drawn):
+        store, probes, _ = auth_env
+        (a, b, start, n, cut), extra, order = drawn
+        window = np.concatenate([probes[a][start:start + cut], probes[b][start + cut:start + n]])
+        req = {"op": "authenticate", "frames": window.tolist(), **extra}
+        raw = json.dumps({key: req[key] for key in order}).encode() + b"\n"
+        agrees_with_reference(store, raw)
+        reply = answer(store, raw)
+        if extra:
+            assert reply == {"ok": False, "error": {"code": "bad-request", "message": KEY_RULE}}
+            return
+        try:
+            want = {"ok": True, "decision": dataclasses.asdict(authenticate(store, window))}
+        except WindowTooShort as exc:
+            want = gatekeeper._error_reply(exc)
+        assert reply == want
 
 
 class TestRequestLineLimit:
@@ -1100,8 +1150,9 @@ class TestLineFraming:
 
     @pytest.mark.parametrize("size", [1 << 16, (1 << 16) + 1])
     def test_lines_of_the_read_buffer_size_answered(self, auth_env, size):
-        store, probes, _ = auth_env
-        request = request_line(probes[1][:10].tolist(), window_seconds=0.5)[:-1]
+        store = dataclasses.replace(auth_env[0], packets_per_second=10)  # 10 frames: 1 s
+        probes = auth_env[1]
+        request = request_line(probes[1][:10].tolist())[:-1]
         line = request + b" " * (size - len(request) - 1) + b"\n"
         assert len(line) == size
         with running(store) as addr:
@@ -1190,8 +1241,9 @@ def criterion_7_env(tmp_path_factory):
 
 def test_gate_decisions_golden(criterion_7_env):
     """Characterization: the decisions on seeded windows, one user's or
-    two users' frames, at varied thresholds and permissions, are the same
-    in-process and over TCP, and pinned."""
+    two users' frames, at varied thresholds and permissions, are pinned.
+    Over TCP each window is decided at the defaults, as in-process, and
+    refused when sent with a threshold and a permission."""
     store, probes = criterion_7_env
     rng = np.random.default_rng(7)
     requests = []
@@ -1209,11 +1261,13 @@ def test_gate_decisions_golden(criterion_7_env):
     direct = [dataclasses.asdict(authenticate(store, w, threshold=t, permission=p))
               for w, t, p in requests]
     with running(store) as addr:
-        replies = ask(addr, *({"op": "authenticate", "frames": w.tolist(), "threshold": t,
-                               "permission": p} for w, t, p in requests))
-    served = [r["decision"] for r in replies]
+        plain = ask(addr, *({"op": "authenticate", "frames": w.tolist()} for w, _, _ in requests))
+        with_policy = ask(addr, *({"op": "authenticate", "frames": w.tolist(), "threshold": t,
+                                   "permission": p} for w, t, p in requests))
     assert {d["reason"] for d in direct} == {"ok", "below threshold", "not enrolled",
                                              "missing permission"}
-    digests = [hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
-               for d in (direct, served)]
-    assert digests == [GATE_DECISIONS_DIGEST] * 2
+    digest = hashlib.sha256(json.dumps(direct, sort_keys=True).encode()).hexdigest()
+    assert digest == GATE_DECISIONS_DIGEST
+    assert [r["decision"] for r in plain] == [dataclasses.asdict(authenticate(store, w))
+                                              for w, _, _ in requests]
+    assert all(r["error"]["code"] == "bad-request" for r in with_policy)

@@ -38,7 +38,7 @@ from handpass.learners.importance import _tree_importances
 from handpass.learners.persist import arrays_hook
 from handpass.learners import tree as tree_module
 from handpass.learners import validate as validate_module
-from handpass.learners.tree import SplitData, best_splits, gini, grow_tree, resolve_max_features
+from handpass.learners.tree import SplitData, best_splits, grow_tree, resolve_max_features
 from handpass.learners.validate import confusion_matrix, metrics_from_confusion, stratified_folds
 
 ALL_KINDS = ("dt", "rf", "knn", "nb", "svm")
@@ -152,24 +152,6 @@ def per_tree_votes(forest, X):
         pred = np.argmax(tree.value[per_tree_apply(tree, X)], axis=1)
         votes[np.arange(n), pred] += 1.0
     return votes / len(forest.trees)
-
-
-class TestGini:
-    def test_pure(self):
-        assert gini([5, 5, 5]) == 0.0
-
-    def test_even_binary(self):
-        assert gini([0, 1]) == 0.5
-
-    def test_four_classes(self):
-        assert abs(gini([0, 1, 2, 3]) - 0.75) < 1e-15
-
-    def test_skewed(self):
-        assert abs(gini([0, 0, 0, 1]) - 0.375) < 1e-15
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            gini([])
 
 
 class TestMaxFeatures:
@@ -1129,6 +1111,31 @@ class TestCountRule:
         X, y = blobs(np.random.default_rng(5))
         model = train("knn", X, y, HyperParams(k_neighbors=np.int64(3)))
         assert type(model.k) is int and model.k == 3
+
+
+class TestMemberRule:
+    """An array compares elementwise, so no array is a member: a
+    one-element array was accepted (an object array of None then read as
+    "sqrt"), and a longer one raised numpy's ambiguous truth value."""
+
+    @pytest.mark.parametrize("value", [np.array([None], dtype=object), np.array([1, 2])],
+                             ids=["object-none", "two-ints"])
+    def test_array_max_features_refused(self, value):
+        with pytest.raises(ValueError, match=r"^max_features must be one of \(None, 'sqrt'\): "):
+            HyperParams(max_features=value)
+
+    def test_array_scaler_kind_refused(self):
+        X, _ = blobs(np.random.default_rng(7))
+        with pytest.raises(ValueError, match=r"^scaler kind must be one of \("):
+            fit_scaler(np.array(["minmax"]), X)
+
+    def test_numpy_scalar_members_accepted(self):
+        X, _ = blobs(np.random.default_rng(7))
+        assert fit_scaler(np.str_("minmax"), X).kind == "minmax"
+        assert HyperParams(max_features=np.str_("sqrt")).max_features == "sqrt"
+        meta = CaptureMeta(capture_number=1, gender=np.str_("M"), hand=np.str_("Left"),
+                           user_id=1)
+        assert (meta.gender, meta.hand) == ("M", "Left")
 
 
 class TestModelClasses:
