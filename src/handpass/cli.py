@@ -152,9 +152,7 @@ def cmd_dataset(args) -> int:
         raise HandpassError(f"{path}: {exc}") from exc
     rate = manifest["config"]["packets_per_second"] if args.rate is None else args.rate
     rows, dropped, skipped, bad_csi = _rows_from_manifest(args, manifest)
-    sliced = ds.slice_dataset(rows, args.slice, rate,
-                              right_hand_only=not args.include_left)
-    matrix = sliced.rows
+    matrix = ds.slice_dataset(rows, args.slice, rate).rows
     ds.write_csv(matrix, args.out)
     print(f"slice {args.slice}: {matrix.n_rows} rows x {matrix.n_columns} columns"
           f" ({dropped} frames dropped) -> {args.out}")
@@ -357,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--slice", required=True, choices=sorted(ds.SLICE_DEFS))
     sp.add_argument("--out", required=True)
     sp.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--include-left", action="store_true",
-                    help="keep left-hand captures (default: right hand only)")
     sp.add_argument("--rate", type=int, default=None,
                     help="packets per second (default: manifest value)")
     add_common(sp, seed=False)

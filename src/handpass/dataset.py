@@ -62,19 +62,18 @@ class CaptureMeta:
     def __post_init__(self):
         if _check_count("capture_number", self.capture_number, 1) > _MAX_CAPTURE:
             raise ValueError(f"capture_number out of range: {self.capture_number}")
-        _check_member("gender", self.gender, GENDERS)
-        _check_member("hand", self.hand, HANDS)
+        object.__setattr__(self, "gender", _check_member("gender", self.gender, GENDERS))
+        object.__setattr__(self, "hand", _check_member("hand", self.hand, HANDS))
         if _check_count("user_id", self.user_id, 1) > _MAX_USER_ID:
             raise ValueError(f"user_id out of range: {self.user_id}")
 
 
 @dataclass
 class FeatureRow:
-    """One preprocessed frame: amplitude block + phase block + metadata."""
+    """One preprocessed frame: amplitude block + phase block + its capture."""
 
     features: np.ndarray
     meta: CaptureMeta
-    frame_index: int
 
 
 @dataclass
@@ -211,36 +210,31 @@ def frame_to_features(
 
 def build_rows(capture: CaptureFile, meta: CaptureMeta, prune: bool = True) -> tuple:
     """Convert every frame of a capture into a FeatureRow, with the
-    pipeline's mask and sanitizer.
+    pipeline's mask and sanitizer, in file order.
 
     Returns (rows, dropped) where dropped counts all-zero frames that
     cannot be normalized.
     """
     X, kept = features(capture.csi, _MASK, _SANITIZER, prune)
-    rows = [
-        FeatureRow(features=x, meta=meta, frame_index=int(i))
-        for x, i in zip(X, np.flatnonzero(kept))
-    ]
+    rows = [FeatureRow(features=x, meta=meta) for x in X]
     return rows, len(kept) - len(rows)
 
 
-def slice_dataset(
-    rows: Iterable[FeatureRow],
-    slice_name: str,
-    packets_per_second: int,
-    right_hand_only: bool = True,
-) -> DatasetSlice:
+def slice_dataset(rows: Iterable[FeatureRow], slice_name: str,
+                  packets_per_second: int) -> DatasetSlice:
     """Carve one of the six standard slicings out of a pool of rows.
 
-    Takes the first ceil(seconds * rate) rows of each required capture
-    for every user present, preserving frame order.  Raises
+    Takes the first ceil(seconds * rate) Right rows of each required
+    capture for every user present, in the order given: no sort, as
+    build_rows gives a capture's rows in file order.  Raises
     InsufficientRows when a user is missing a required capture or has
-    too few rows in it.
+    too few rows in it, and RaggedRows for rows of mixed width or of a
+    width that is not a feature layout's.
     """
     seconds, captures = SLICE_DEFS[_check_member("slice", slice_name, tuple(SLICE_DEFS))]
     need = math.ceil(seconds * _check_count("packets_per_second", packets_per_second, 1))
 
-    pool = [r for r in rows if not right_hand_only or r.meta.hand == "Right"]
+    pool = [r for r in rows if r.meta.hand == "Right"]
     if not pool:
         raise InsufficientRows("no rows to slice")
     width = pool[0].features.shape[0]
@@ -249,6 +243,8 @@ def slice_dataset(
         if r.features.shape[0] != width:
             raise RaggedRows("rows of mixed width cannot be sliced together")
         by_key.setdefault((r.meta.user_id, r.meta.capture_number), []).append(r)
+    if width not in _LAYOUTS:
+        raise RaggedRows(f"rows {width} wide are not a feature layout (468 or 512)")
 
     users = sorted({u for u, _ in by_key})
     picked = []
@@ -257,18 +253,13 @@ def slice_dataset(
             have = by_key.get((user, cap))
             if have is None:
                 raise InsufficientRows(f"user {user} has no capture {cap}")
-            have = sorted(have, key=lambda r: r.frame_index)
             if len(have) < need:
                 raise InsufficientRows(
                     f"user {user} capture {cap} has {len(have)} rows, needs {need}"
                 )
             picked.extend(have[:need])
 
-    if width in _LAYOUTS:
-        names = feature_names(_LAYOUTS[width])
-    else:
-        names = tuple(f"f_{i}" for i in range(width))
-    return DatasetSlice(rows=FeatureMatrix.from_rows(picked, names))
+    return DatasetSlice(rows=FeatureMatrix.from_rows(picked, feature_names(_LAYOUTS[width])))
 
 
 def write_csv(m: FeatureMatrix, path) -> None:

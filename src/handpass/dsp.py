@@ -190,7 +190,7 @@ class FittedScaler:
     b: np.ndarray
 
     def __post_init__(self):
-        _check_member("scaler kind", self.kind, SCALER_KINDS)
+        self.kind = _check_member("scaler kind", self.kind, SCALER_KINDS)
         for name in ("a", "b"):
             try:
                 bound = np.asarray(getattr(self, name), dtype=np.float64)
@@ -226,7 +226,7 @@ def fit_scaler(kind: str, matrix: np.ndarray) -> FittedScaler:
     zscore uses the population standard deviation; robust uses
     linear-interpolation quartiles.
     """
-    _check_member("scaler kind", kind, SCALER_KINDS)
+    kind = _check_member("scaler kind", kind, SCALER_KINDS)
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatch(f"matrix of shape {x.shape} is not a 2-D block")

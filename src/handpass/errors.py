@@ -36,13 +36,13 @@ def _check_amount(name, value, least=0.0, above=False) -> float:
 
 
 def _check_member(name, value, allowed):
-    """value; refuse, with ValueError, a value that is not in allowed.  A
-    value whose comparison with a member is not one truth value (a numpy
-    array compares elementwise) equals no member."""
+    """The member of allowed that value equals (a 0-d array can equal one);
+    refuse, with ValueError, any other value.  A value whose comparison with
+    a member is not one truth value (an array compares elementwise) matches none."""
     for member in allowed:
         equal = member == value
         if isinstance(equal, (bool, np.bool_)) and equal:
-            return value
+            return member
     raise ValueError(f"{name} must be one of {allowed}: {value!r}")
 
 

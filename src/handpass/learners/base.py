@@ -48,7 +48,8 @@ class HyperParams:
             _check_count(name, getattr(self, name), 1)
         if self.max_depth is not None:
             _check_count("max_depth", self.max_depth, 0)
-        _check_member("max_features", self.max_features, (None, "sqrt"))
+        object.__setattr__(self, "max_features",
+                           _check_member("max_features", self.max_features, (None, "sqrt")))
         if type(self.bootstrap) is not bool:
             raise ValueError(f"bootstrap {self.bootstrap!r} is not true or false")
 

@@ -203,8 +203,8 @@ def load_manifest(path) -> dict:
     not a manifest of this format and version, whose config SynthConfig
     refuses, or with a capture entry that lacks a string path or a
     CaptureMeta field, whose path leaves the manifest's directory (by
-    name: symlinks are not resolved), or that holds a value CaptureMeta
-    refuses."""
+    name: symlinks are not resolved), that holds a value CaptureMeta
+    refuses, or that repeats an earlier entry's capture session or path."""
     with open(path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
     _check_header(manifest, MANIFEST_FORMAT, MANIFEST_VERSION, "manifest")
@@ -218,6 +218,7 @@ def load_manifest(path) -> dict:
     captures = manifest.get("captures")
     if not isinstance(captures, list):
         raise ValueError("captures is not a list")
+    seen = {}   # each entry's session and normalized path -> the entry's index
     for i, entry in enumerate(captures):
         if not isinstance(entry, dict):
             raise ValueError(f"capture {i} is not an object")
@@ -230,7 +231,12 @@ def load_manifest(path) -> dict:
         if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
             raise ValueError(f"capture {i}: path {rel!r} is not inside the manifest's directory")
         try:
-            CaptureMeta(**{name: entry[name] for name in _META_FIELDS})
+            meta = CaptureMeta(**{name: entry[name] for name in _META_FIELDS})
         except (TypeError, ValueError) as exc:
             raise ValueError(f"capture {i}: {exc}") from exc
+        session = (meta.user_id, meta.hand, meta.capture_number)
+        for key, what in ((session, "(user_id, hand, capture_number)"),
+                          (os.path.normpath(rel), "path")):
+            if seen.setdefault(key, i) != i:   # one file per (user, hand, capture session)
+                raise ValueError(f"capture {i}: {what} {key!r} repeats capture {seen[key]}'s")
     return manifest

@@ -754,6 +754,15 @@ class TestMalformedManifest:
         (_put(0, "path", path), f"capture 0: path {path!r} is not inside the manifest's directory")
         for path in ("/etc/hostname", "../x.pcap", "user_01/../../x.pcap")
     ] + [
+        # one file per capture session: user 2's file listed again as user 1's
+        # capture 1 mixed both people's frames in user 1's rows
+        (_put(1, "user_id", 1), "capture 1: (user_id, hand, capture_number) (1, 'Right', 1)"
+                                " repeats capture 0's"),
+        (_put(2, "path", "user_01/Right/capture_1.pcap"),
+         "capture 2: path 'user_01/Right/capture_1.pcap' repeats capture 0's"),
+        (_put(1, "path", "user_02/../user_01/Right/capture_1.pcap"),
+         "capture 1: path 'user_01/Right/capture_1.pcap' repeats capture 0's"),
+    ] + [
         pytest.param(_top("config", {"noise_sigma": 10**400}),
                      f"config: noise_sigma {10**400} is not a finite number >= 0",
                      id="damage-config: noise_sigma 10**400 is not a finite number >= 0"),
@@ -871,7 +880,6 @@ OPTION_INVENTORY = {
         (("--slice",), "slice", None, None, ("D1", "D2", "D3", "D4", "D5", "D6")),
         (("--out",), "out", None, None, None),
         (("--prune", "--no-prune"), "prune", True, None, None),
-        (("--include-left",), "include_left", False, None, None),
         (("--rate",), "rate", None, "int", None),
         (("-v", "--verbose"), "verbose", argparse.SUPPRESS, None, None),
     ],

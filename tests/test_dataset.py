@@ -25,18 +25,21 @@ from handpass.errors import InsufficientRows, RaggedRows
 META = CaptureMeta(capture_number=1, gender="M", hand="Right", user_id=3)
 
 
-def flat_row(width, user, cap, idx, hand="Right"):
-    """A FeatureRow with trivially small feature payload, for slicing tests."""
+def flat_row(width, user, cap, hand="Right"):
+    """A FeatureRow whose features all hold the user id, for slicing tests."""
     meta = CaptureMeta(capture_number=cap, gender="F", hand=hand, user_id=user)
-    return FeatureRow(
-        features=np.full(width, float(user)), meta=meta, frame_index=idx
-    )
+    return FeatureRow(features=np.full(width, float(user)), meta=meta)
 
 
 class TestMeta:
     def test_label_is_user_id(self):
-        m = FeatureMatrix.from_rows([flat_row(4, 7, 1, 0)], feature_names(prune=False)[:4])
+        m = FeatureMatrix.from_rows([flat_row(4, 7, 1)], feature_names(prune=False)[:4])
         assert m.labels.tolist() == [7]
+
+    def test_zero_d_array_member_is_stored_as_the_member(self):
+        meta = CaptureMeta(1, np.array("M"), np.array("Right"), 1)
+        assert type(meta.gender) is str and type(meta.hand) is str
+        assert hash(meta) == hash(CaptureMeta(1, "M", "Right", 1))   # raised: unhashable
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -121,7 +124,8 @@ class TestBuildRows:
         frames = [random_frame(rng), zero, random_frame(rng), zero]
         rows, dropped = build_rows(capture_of(frames), META)
         assert dropped == 2
-        assert [r.frame_index for r in rows] == [0, 2]
+        kept, _ = build_rows(capture_of([frames[0], frames[2]]), META)
+        assert [r.features.tolist() for r in rows] == [r.features.tolist() for r in kept]
 
     def test_rows_carry_meta(self):
         rng = np.random.default_rng(13)
@@ -159,12 +163,12 @@ class TestSliceDefs:
 
 
 class TestSliceDataset:
-    def pool(self, users=2, captures=5, per_capture=20, width=4):
+    def pool(self, users=2, captures=5, per_capture=20, width=468):
         return [
-            flat_row(width, u, c, i)
+            flat_row(width, u, c)
             for u in range(1, users + 1)
             for c in range(1, captures + 1)
-            for i in range(per_capture)
+            for _ in range(per_capture)
         ]
 
     def test_row_counts_per_slice(self):
@@ -198,34 +202,32 @@ class TestSliceDataset:
         }
         assert rows["D1"] <= rows["D2"] <= rows["D3"]
 
-    def test_frame_order_preserved_after_shuffle(self):
+    def test_reverse_ordered_pool_is_cut_in_that_order(self):
+        # no sort: a capture's first rows are the first ones given
         pool = self.pool(users=1, captures=1, per_capture=12)
-        rng = np.random.default_rng(15)
-        shuffled = [pool[i] for i in rng.permutation(len(pool))]
-        ordered = slice_dataset(pool, "D1", 6)
-        scrambled = slice_dataset(shuffled, "D1", 6)
-        assert np.array_equal(ordered.rows.features, scrambled.rows.features)
+        for i, r in enumerate(pool):
+            r.features[:] = i
+        sl = slice_dataset(pool[::-1], "D1", 6)
+        assert sl.rows.features[:, 0].tolist() == [11, 10, 9, 8, 7, 6]
 
     def test_missing_capture(self):
-        pool = [flat_row(4, 1, 1, i) for i in range(10)]
+        pool = [flat_row(468, 1, 1) for _ in range(10)]
         with pytest.raises(InsufficientRows):
             slice_dataset(pool, "D2", 2)  # needs captures 2 and 3 too
 
     def test_too_few_rows(self):
-        pool = [flat_row(4, 1, 1, i) for i in range(4)]
+        pool = [flat_row(468, 1, 1) for _ in range(4)]
         with pytest.raises(InsufficientRows):
             slice_dataset(pool, "D1", packets_per_second=5)
 
     def test_left_hand_excluded_by_default(self):
-        pool = [flat_row(4, 1, 1, i) for i in range(5)]
-        pool += [flat_row(4, 2, 1, i, hand="Left") for i in range(5)]
+        pool = [flat_row(468, 1, 1) for _ in range(5)]
+        pool += [flat_row(468, 2, 1, hand="Left") for _ in range(5)]
         sl = slice_dataset(pool, "D1", 5)
         assert set(sl.rows.user_id) == {1}
-        both = slice_dataset(pool, "D1", 5, right_hand_only=False)
-        assert set(both.rows.user_id) == {1, 2}
 
     def test_all_left_pool_is_empty(self):
-        pool = [flat_row(4, 1, 1, i, hand="Left") for i in range(5)]
+        pool = [flat_row(468, 1, 1, hand="Left") for _ in range(5)]
         with pytest.raises(InsufficientRows):
             slice_dataset(pool, "D1", 5)
 
@@ -233,10 +235,19 @@ class TestSliceDataset:
         with pytest.raises(ValueError):
             slice_dataset(self.pool(), "D7", 5)
 
+    def test_zero_d_array_slice_name(self):
+        sl = slice_dataset(self.pool(), np.array("D1"), 5)   # raised: unhashable
+        assert sl.rows.n_rows == 10
+
     def test_mixed_width_rejected(self):
-        pool = [flat_row(4, 1, 1, 0), flat_row(5, 1, 1, 1)]
+        pool = [flat_row(468, 1, 1), flat_row(512, 1, 1)]
         with pytest.raises(RaggedRows):
             slice_dataset(pool, "D1", 1)
+
+    def test_rows_of_no_layout_rejected(self):
+        # the columns are always a layout's feature_names, so no other width slices
+        with pytest.raises(RaggedRows, match="^rows 5 wide are not a feature layout"):
+            slice_dataset(self.pool(width=5), "D1", 1)
 
     @pytest.mark.parametrize("rate", [-5, 0])
     def test_rate_below_one_refused(self, rate):
@@ -255,8 +266,8 @@ class TestCsv:
     def make_matrix(self, n=6, width=4):
         rng = np.random.default_rng(16)
         rows = [
-            flat_row(width, u, 1, i)
-            for i, u in enumerate(rng.integers(1, 4, size=n))
+            flat_row(width, u, 1)
+            for u in rng.integers(1, 4, size=n)
         ]
         for r in rows:
             r.features[:] = rng.normal(size=width)

@@ -19,7 +19,7 @@ from handpass.errors import (
     UnsupportedModel,
     _check_count,
 )
-from handpass.gatekeeper import EnrollmentStore, load_store, save_store
+from handpass.gatekeeper import EnrollmentStore, enroll, load_store, save_store
 from handpass.learners import (
     HyperParams,
     cross_validate,
@@ -1136,6 +1136,21 @@ class TestMemberRule:
         meta = CaptureMeta(capture_number=1, gender=np.str_("M"), hand=np.str_("Left"),
                            user_id=1)
         assert (meta.gender, meta.hand) == ("M", "Left")
+
+    # A 0-d array compares as one truth value, so it matches a member; the
+    # member is what is kept, not the array.
+    def test_zero_d_scaler_kind_store_saves(self, tmp_path):
+        rng = np.random.default_rng(8)
+        rows = {u: rng.normal(size=(100, 468)) for u in (1, 2)}
+        store = enroll(rows, HyperParams(n_trees=1), scaler_kind=np.array("minmax"))
+        assert type(store.scaler.kind) is str
+        save_store(store, tmp_path / "store.json")   # raised: ndarray is not JSON serializable
+        assert load_store(tmp_path / "store.json").scaler.kind == "minmax"
+
+    def test_zero_d_none_max_features_is_none(self):
+        hp = HyperParams(max_features=np.array(None, dtype=object))
+        assert hp.max_features is None
+        assert resolve_max_features(hp.max_features, 468) == 468   # was 22, as "sqrt"
 
 
 class TestModelClasses:

@@ -91,7 +91,7 @@ def feature_rows(n, d, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d)) * 100.0
     meta = CaptureMeta(capture_number=2, gender="F", hand="Right", user_id=5)
-    return X, [FeatureRow(features=x, meta=meta, frame_index=i) for i, x in enumerate(X)]
+    return X, [FeatureRow(x, meta) for x in X]
 
 
 def test_from_rows_stacks_once():
