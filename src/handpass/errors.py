@@ -80,7 +80,7 @@ class ZeroSignal(HandpassError):
 
 
 class EmptyMatrix(HandpassError):
-    """A scaler cannot be fitted on an empty feature matrix."""
+    """A scaler or a model cannot be fitted on an empty feature matrix."""
 
 
 class DimensionMismatch(HandpassError):

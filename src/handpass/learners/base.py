@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import DegenerateLabels, NonFiniteFeature, _check_count, _check_member
+from ..errors import DegenerateLabels, EmptyMatrix, NonFiniteFeature, _check_count, _check_member
 from .bayes import GaussianNbModel, fit_gnb
 from .forest import RandomForestModel, grow_forest
 from .neighbors import KnnModel, fit_knn
@@ -74,6 +74,8 @@ def _validated(matrix, labels):
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"feature matrix must be 2-D, got shape {X.shape}")
+    if X.shape[1] == 0:
+        raise EmptyMatrix("feature matrix has no feature columns")
     if not np.isfinite(X).all():
         raise NonFiniteFeature("feature matrix contains NaN or infinity")
     y = np.asarray(labels)

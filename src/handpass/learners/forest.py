@@ -16,8 +16,11 @@ nothing a tree computes depends on its neighbours:
 
 - tree t draws its bootstrap sample and every node's feature subset
   from its own generator, default_rng((seed, t)), and nothing else
-  draws from it;
-- it pops its own nodes in its own DFS order, so it draws the feature
+  draws from it.  The subsets come in per-tree blocks, one generator
+  call a block, each subset bit for bit the sorted choice call it
+  replaces (`tree._feature_subsets`); so the generator may end past the
+  last draw the tree used, and nothing reads it after the fit;
+- it pops its own nodes in its own DFS order, so it takes the feature
   subsets in the order, and emits its nodes in the pre-order, of a
   tree grown alone;
 - a node's split depends only on its rows and features: the batched

@@ -27,10 +27,35 @@ from .rows import check_rows, coerce_arrays
 # at the peak; a node larger than that is searched alone.
 _FEATURE_CHUNK = 64
 _BATCH_CELLS = 32768
+# feature subsets a tree draws at a time (see _feature_subsets)
+_SUBSET_BLOCK = 32
 
 
 def resolve_max_features(spec, n_features: int) -> int:
     return n_features if spec is None else max(1, int(round(np.sqrt(n_features))))
+
+
+def _feature_subsets(rngs, d: int, k: int, m: int) -> np.ndarray:
+    """m sorted k-of-d feature subsets from each generator, (len(rngs),
+    m, k): block t's row i is bit for bit the i-th of m calls
+    np.sort(rngs[t].choice(d, size=k, replace=False)).
+
+    For k = round(sqrt(d)) < d, choice always runs Floyd's algorithm
+    (its other branch needs d > 10000 and k > d // 50): the j-th of k
+    picks is uniform on [0, d-k+j] and, if already taken, is replaced
+    by d-k+j; then a shuffle of the k picks draws on [0, k-1] down to
+    [0, 1].  integers(0, bounds, endpoint=True) makes the same bounded
+    draws in array order, so one call per generator draws its m
+    subsets' 2k-1 values each.  The shuffle's draws are spent, not
+    applied: the rows are sorted.
+    """
+    g = 2 * k - 1
+    bounds = np.tile(np.concatenate([np.arange(d - k, d), np.arange(k - 1, 0, -1)]), m)
+    draws = np.stack([rng.integers(0, bounds, endpoint=True) for rng in rngs])
+    picks = np.ascontiguousarray(draws.reshape(-1, g)[:, :k].T)   # picks[j]: every subset's j-th
+    for j in range(1, k):
+        picks[j, (picks[:j] == picks[j]).any(axis=0)] = d - k + j
+    return np.sort(picks.T, axis=1).reshape(len(rngs), m, k)
 
 
 class SplitData:
@@ -374,7 +399,11 @@ class DecisionTreeModel:
 
 
 def grow_tree(X, y_codes, n_classes, classes, hyper, rng) -> DecisionTreeModel:
-    """Grow one CART tree; rng is consumed only for feature subsampling."""
+    """Grow one CART tree; rng is consumed only for feature subsampling.
+
+    The subsets are drawn in blocks (`_feature_subsets`), so rng may end
+    past the last draw the tree used.
+    """
     data = SplitData(X, y_codes, n_classes)
     return grow_trees(data, classes, hyper, [(np.arange(data.X.shape[0]), rng)])[0]
 
@@ -385,15 +414,17 @@ def grow_trees(data: SplitData, classes, hyper, starts) -> list:
     Rows index data's matrix and may repeat (a bootstrap sample).  Each
     tree keeps its own DFS stack.  A step pops one node from every stack
     and sends all the splits they need through one `best_splits` call.
-    A tree draws from its own rng, and emits its nodes, in its own
-    pre-order, exactly as when grown alone, so every tree is the same
-    whichever trees grow beside it.
+    A tree takes its feature subsets from its own rng, a block at a
+    time, and emits its nodes, in its own pre-order, exactly as when
+    grown alone, so every tree is the same whichever trees grow beside
+    it.
     """
     X, y, C, d = data.X, data.y, data.n_classes, data.d
     max_feat = resolve_max_features(hyper.max_features, d)
     max_depth = np.inf if hyper.max_depth is None else hyper.max_depth
     all_feats = np.arange(d)
     rngs = [rng for _, rng in starts]
+    unused = [[] for _ in starts]       # each tree's drawn, unused subsets, next one last
     # entries (rows, depth, step-order id of the parent, is left child)
     stacks = [[(rows, 0, -1, False)] for rows, _ in starts]
     count_type = np.min_scalar_type(max(rows.size for rows, _ in starts))
@@ -413,11 +444,16 @@ def grow_trees(data: SplitData, classes, hyper, starts) -> list:
         threshold = np.zeros(B)
         # a one-row node has impurity 0, so a grown node has two rows or more
         grow = np.flatnonzero((impurity > 0.0) & (np.array(depth) < max_depth)).tolist()
-        nodes = [
-            (rows[k], np.sort(rngs[live[k]].choice(d, size=max_feat, replace=False))
-             if max_feat < d else all_feats)
-            for k in grow
-        ]
+        if max_feat < d:
+            # the trees whose block ran out draw their next blocks together
+            dry = [live[k] for k in grow if not unused[live[k]]]
+            if dry:
+                blocks = _feature_subsets([rngs[t] for t in dry], d, max_feat, _SUBSET_BLOCK)
+                for t, block in zip(dry, blocks):
+                    unused[t] = list(block[::-1])
+            nodes = [(rows[k], unused[live[k]].pop()) for k in grow]
+        else:
+            nodes = [(rows[k], all_feats) for k in grow]
         for k, found in zip(grow, best_splits(data, nodes)):
             if found is None:
                 continue

@@ -280,6 +280,16 @@ class TestCrossval:
         header = next(l for l in lines if l.startswith("Model"))
         assert header.split() == ["Model", "Accuracy", "Precision", "Recall", "F1-Score"]
 
+    @pytest.mark.parametrize("model", ["rf", "dt", "knn", "nb", "svm"])
+    def test_matrix_of_no_feature_columns_is_an_error(self, tmp_path, capsys, model):
+        data = tmp_path / "z.csv"
+        data.write_text("capture,gender,hand,user_id\n"
+                        + "".join(f"1,M,Right,{1 + i % 2}\n" for i in range(24)))
+        code, out, err = run(capsys, "crossval", "--data", str(data), "--model", model)
+        assert code == 1
+        assert err == "error: feature matrix has no feature columns\n"
+        assert "Traceback" not in err and "F1-Score" not in out
+
 
 class TestSelect:
     def test_prints_ranked_subcarriers(self, d1_csv, capsys, tmp_path):

@@ -14,6 +14,7 @@ from handpass.dsp import fit_scaler
 from handpass.errors import (
     DegenerateLabels,
     DimensionMismatch,
+    EmptyMatrix,
     NonFiniteFeature,
     TooFewSamples,
     UnsupportedModel,
@@ -221,6 +222,11 @@ class TestTrainValidation:
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
             train("dt", np.ones((4, 2)), [0, 1])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_no_feature_columns_rejected(self, kind):
+        with pytest.raises(EmptyMatrix, match="no feature columns"):
+            train(kind, np.ones((24, 0)), np.arange(24) % 2)
 
 
 class TestDecisionTree:
@@ -747,6 +753,41 @@ class TestLockstepForestMatchesPerTree:
         for hp in (HyperParams(n_trees=12), HyperParams(n_trees=3, max_features=None)):
             forest = train("rf", X, y, hp, seed=8)
             assert tree_digest(forest.trees) == tree_digest(per_tree_forest(X, y, hp, 8))
+
+
+def sorted_choice_subsets(rngs, d, k, m):
+    """Stand-in for tree._feature_subsets: one sorted choice call per subset."""
+    return np.stack([[np.sort(rng.choice(d, size=k, replace=False)) for _ in range(m)]
+                     for rng in rngs])
+
+
+class TestFeatureSubsetDraws:
+    """A tree draws its per-node feature subsets a block at a time, one
+    integers call a block (tree._feature_subsets).  The oracle below
+    pins that helper to numpy's own choice, call by call and in the
+    generator state it leaves; the tree digests (TestSeededTreesGolden)
+    pin the trees grown from it."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 30, 468, 512, 10_001, 40_000])
+    def test_equals_sorted_choice_calls(self, d):
+        k = resolve_max_features("sqrt", d)
+        assert k < d
+        for seed in range(0, 100, 2):
+            ours = [np.random.default_rng(seed), np.random.default_rng(seed + 1)]
+            ref = [np.random.default_rng(seed), np.random.default_rng(seed + 1)]
+            # blocks of several sizes, each starting where the last ended
+            for m in (1, 2, 7, 32):
+                got = tree_module._feature_subsets(ours, d, k, m)
+                assert np.array_equal(got, sorted_choice_subsets(ref, d, k, m)), (d, seed, m)
+            assert [g.integers(1 << 62) for g in ours] == [g.integers(1 << 62) for g in ref]
+
+    def test_refill_path_grows_the_same_forest(self, golden_d1, monkeypatch):
+        model = train("rf", *golden_d1, seed=42)
+        # every tree splits more nodes than a block holds, so each refills
+        inner = [int((t.feature >= 0).sum()) for t in model.trees]
+        assert min(inner) > tree_module._SUBSET_BLOCK
+        monkeypatch.setattr(tree_module, "_feature_subsets", sorted_choice_subsets)
+        assert tree_digest(train("rf", *golden_d1, seed=42).trees) == tree_digest(model.trees)
 
 
 class TestKnn:
